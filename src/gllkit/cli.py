@@ -1,7 +1,8 @@
 """Command-line front door: recognize, dump forests, enumerate trees, count
 derivations, report stats, or benchmark a grammar over growing inputs.
 
-Exit codes: 0 accept, 1 reject, 2 operational error (bad grammar, IO, fuel).
+Exit codes: 0 accept, 1 reject, 2 operational error (bad grammar, IO, fuel,
+or an internal failure such as running out of stack or memory).
 """
 from __future__ import annotations
 
@@ -296,11 +297,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 cfg.text = ""  # bench builds its own inputs
             return cmd_bench(cfg, ns.sizes, ns.bench_char)
         raise CliError(f"unknown command {ns.command!r}")
-    except CliError as e:
+    except (CliError, ResourceExhausted) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ResourceExhausted as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (RecursionError, MemoryError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

@@ -1,33 +1,21 @@
 """Identifiers, slots, descriptors and forest-edge values shared by every module.
 
 All identifier-like values are interned: structurally equal ids and slots are
-the same object, so the hot membership checks of the engine hash and compare
-in O(1).
+the same object, so they hash and compare by identity, in C, on the engine's
+hot membership checks.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 
 class SymbolId:
     """Structural name of a grammar symbol (a token name or an application)."""
 
-    __slots__ = ("name", "args", "sort_key", "_hash", "_rendered")
+    __slots__ = ("name", "args", "sort_key", "_rendered")
 
     name: str
     args: tuple["SymbolId", ...]
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # Interning makes identity comparison correct; fall back to structure so
-    # accidental direct construction still behaves.
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, SymbolId):
-            return NotImplemented
-        return type(self) is type(other) and self.name == other.name and self.args == other.args
 
     def __lt__(self, other: "SymbolId") -> bool:
         return self.sort_key < other.sort_key
@@ -41,7 +29,11 @@ class SymbolId:
 
 
 class TokenName(SymbolId):
-    """Id of a token symbol. Literal-character tokens keep their quotes: "','"."""
+    """Id of a token symbol. Literal-character tokens keep their quotes: "','".
+
+    Named tokens render with a leading "%" ("%alpha"), so that no token renders
+    like a nullary nonterminal of the same name.
+    """
 
     __slots__ = ()
 
@@ -54,8 +46,7 @@ class TokenName(SymbolId):
         self.name = name
         self.args = ()
         self.sort_key = (0, name)
-        self._hash = hash((0, name))
-        self._rendered = name
+        self._rendered = name if name.startswith("'") else "%" + name
         _TOKEN_INTERN[key] = self
         return self
 
@@ -75,7 +66,6 @@ class Applied(SymbolId):
         self.name = name
         self.args = args
         self.sort_key = (1, name, tuple(a.sort_key for a in args))
-        self._hash = hash(key)
         self._rendered = None
         _APPLIED_INTERN[key] = self
         return self
@@ -86,7 +76,8 @@ _APPLIED_INTERN: dict = {}
 
 
 def render_id(sid: SymbolId) -> str:
-    """Deterministic textual form: token names verbatim, applications name(a,b)."""
+    """Deterministic textual form: 'c' literals verbatim, %name for named
+    tokens, name(a,b) for applications."""
     if sid._rendered is None:
         sid._rendered = "%s(%s)" % (sid.name, ",".join(render_id(a) for a in sid.args)) \
             if sid.args else sid.name
@@ -96,7 +87,7 @@ def render_id(sid: SymbolId) -> str:
 class Slot:
     """A grammar position: one alternate of `lhs` with a dot splitting pre/post."""
 
-    __slots__ = ("lhs", "pre", "post", "sort_key", "_hash", "_rendered")
+    __slots__ = ("lhs", "pre", "post", "sort_key", "_rendered")
 
     lhs: SymbolId
     pre: tuple[SymbolId, ...]
@@ -115,20 +106,9 @@ class Slot:
         self.post = post
         self.sort_key = (lhs.sort_key, tuple(s.sort_key for s in pre),
                          tuple(s.sort_key for s in post))
-        self._hash = hash(key)
         self._rendered = None
         _SLOT_INTERN[key] = self
         return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Slot):
-            return NotImplemented
-        return self.lhs == other.lhs and self.pre == other.pre and self.post == other.post
 
     def __lt__(self, other: "Slot") -> bool:
         return self.sort_key < other.sort_key
@@ -189,17 +169,5 @@ class BSRElement(NamedTuple):
     right: int
 
 
-# Continuations and state transformers; ParseState is defined in state.py.
-Continuation = Callable[[object, int, int], None]
-
-
-def descriptor_sort_key(d: Descriptor):
-    return (d.slot.sort_key, d.left, d.right)
-
-
 def bsr_sort_key(b: BSRElement):
     return (render_slot(b.slot), b.left, b.pivot, b.right)
-
-
-def cid_sort_key(cid: ContinuationId):
-    return (cid.slot.sort_key, cid.left)

@@ -12,7 +12,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     Applied,
-    BSRElement,
     Commencement,
     ContinuationId,
     Slot,
@@ -76,11 +75,6 @@ class Symbol:
     def match(self, state: ParseState, l: int, cid: ContinuationId, cont) -> None:
         raise NotImplementedError
 
-    def evaluate(self, input, bsrs, l: int, r: int, visited: frozenset = frozenset()):
-        from . import forest
-
-        return forest.evaluate(self, input, bsrs, l, r, visited)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.id!r})"
 
@@ -95,7 +89,7 @@ class Token(Symbol):
     def match(self, state: ParseState, l: int, cid: ContinuationId, cont) -> None:
         inp = state.input
         if l < len(inp) and self.pattern.classifier(inp[l]) is not None:
-            _apply_cont(state, cont, l, l + 1)
+            _apply_conts(state, (cont,), l, l + 1)
         else:
             state.failures.record(l, _retreat(cid.slot))
 
@@ -165,17 +159,20 @@ def _retreat(slot: Slot) -> Slot:
 # A continuation is (plan, i, l): on (pivot, right) it records BSR element
 # (plan.slots[i], l, pivot, right) and processes the advanced descriptor.
 # None is the inert continuation used above the start symbol.
+#
+# Every descriptor after slot 0 is made together with a BSR element of the
+# same (slot, l, r), so it is new exactly when that forest key is new: only
+# then is it passed to _process. Slot-0 descriptors are gated by uset alone.
 
 
-def _apply_cont(state: ParseState, cont, k: int, r: int) -> None:
-    if cont is None:
-        return
-    if type(cont) is tuple:
-        plan, i, l = cont
-        state.bsrs.add4(plan.slots[i], l, k, r)
-        _process(state, plan, i, l, r)
-    else:
-        cont(state, k, r)
+def _apply_conts(state: ParseState, conts, k: int, r: int) -> None:
+    """Apply each continuation in conts to pivot k and right extent r."""
+    add4 = state.bsrs.add4
+    for cont in conts:
+        if cont is not None:
+            plan, i, l = cont
+            if add4(plan.slots[i], l, k, r):
+                _process(state, plan, i, l, r)
 
 
 def _process(state: ParseState, plan: AltPlan, i: int, l: int, r: int) -> None:
@@ -205,11 +202,9 @@ def _alternates(state: ParseState, sym: Nonterminal, l: int) -> None:
     if state.reverse_alternates:
         plans = tuple(reversed(plans))
     for plan in plans:
-        if plan.symbols:
-            _process(state, plan, 0, l, l)
-        else:
+        if not plan.symbols:
             state.bsrs.add4(plan.slots[0], l, l, l)
-            _process(state, plan, 0, l, l)
+        _process(state, plan, 0, l, l)
 
 
 def _act(state: ParseState, plan: AltPlan, i: int, l: int, r: int) -> None:
@@ -222,8 +217,8 @@ def _act(state: ParseState, plan: AltPlan, i: int, l: int, r: int) -> None:
     if type(sym) is Token:
         inp = state.input
         if r < len(inp) and sym.pattern.classifier(inp[r]) is not None:
-            state.bsrs.add4(plan.slots[i + 1], l, r, r + 1)
-            _process(state, plan, i + 1, l, r + 1)
+            if state.bsrs.add4(plan.slots[i + 1], l, r, r + 1):
+                _process(state, plan, i + 1, l, r + 1)
         else:
             state.failures.record(r, plan.slots[i])
     else:
@@ -236,8 +231,8 @@ def descend(c: Commencement, cid: ContinuationId, cont,
     state.grel.add(c, cid, cont)
     extents = state.prel.extents_for(c)
     if extents:
-        for r in list(extents):
-            _apply_cont(state, cont, c.left, r)
+        for r in extents:
+            _apply_conts(state, (cont,), c.left, r)
     else:
         alternates_effect(state)
 
@@ -245,21 +240,7 @@ def descend(c: Commencement, cid: ContinuationId, cont,
 def ascend(c: Commencement, r: int, state: ParseState) -> None:
     """Record the extent and apply every continuation registered for c."""
     state.prel.add(c, r)
-    for _cid, cont in state.grel.continuations_for(c):
-        _apply_cont(state, cont, c.left, r)
-
-
-def continue_with(b: BSRElement, next_effect, state: ParseState) -> None:
-    """Record the BSR element, then process its descriptor (once only)."""
-    state.bsrs.add(b)
-    if state.uset.add3(b.slot, b.left, b.right):
-        stats = state.stats
-        stats.fuel_consumed += 1
-        if state.fuel is not None and stats.fuel_consumed > state.fuel:
-            err = ResourceExhausted(f"fuel budget of {state.fuel} exhausted")
-            err.state = state
-            raise err
-        state.queue.append(next_effect)
+    _apply_conts(state, state.grel.continuations(c), c.left, r)
 
 
 def _drive(state: ParseState) -> None:
@@ -268,17 +249,14 @@ def _drive(state: ParseState) -> None:
     pop = queue.pop if state.lifo else queue.popleft
     stats = state.stats
     while queue:
-        item = pop()
+        plan, i, l, r = pop()
         stats.descriptors_processed += 1
-        if type(item) is tuple:
-            _act(state, item[0], item[1], item[2], item[3])
-        else:
-            item(state)
+        _act(state, plan, i, l, r)
 
 
 def _start_parse(s: Symbol, input, fuel: Optional[int], lifo: bool,
                  reverse_alternates: bool,
-                 instantiation_budget: Optional[int]) -> tuple[ParseState, AltPlan]:
+                 instantiation_budget: Optional[int]) -> ParseState:
     if s.id == START_ID:
         raise ValueError(f"{START_NAME} is reserved for the artificial start symbol")
     state = ParseState(input, fuel=fuel, lifo=lifo,
@@ -292,7 +270,7 @@ def _start_parse(s: Symbol, input, fuel: Optional[int], lifo: bool,
     cont = (start_plan, 1, 0) if s.is_token else None
     s.match(state, 0, cid, cont)
     _drive(state)
-    return state, start_plan
+    return state
 
 
 def _accept_commencement(s: Symbol) -> Commencement:
@@ -303,8 +281,8 @@ def run_recognize(s: Symbol, input, fuel: Optional[int] = None, lifo: bool = Fal
                   reverse_alternates: bool = False,
                   instantiation_budget: Optional[int] = None) -> tuple[bool, ParseState]:
     """Parse the whole input; accepted iff its full extent was derived from 0."""
-    state, _ = _start_parse(s, input, fuel, lifo, reverse_alternates,
-                            instantiation_budget)
+    state = _start_parse(s, input, fuel, lifo, reverse_alternates,
+                         instantiation_budget)
     extents = state.prel.extents_for(_accept_commencement(s))
     return (len(input) in extents, state)
 
@@ -313,6 +291,6 @@ def run_prefix(s: Symbol, input, fuel: Optional[int] = None, lifo: bool = False,
                reverse_alternates: bool = False,
                instantiation_budget: Optional[int] = None) -> tuple[list[int], ParseState]:
     """All right extents reachable from position 0, ascending."""
-    state, _ = _start_parse(s, input, fuel, lifo, reverse_alternates,
-                            instantiation_budget)
+    state = _start_parse(s, input, fuel, lifo, reverse_alternates,
+                         instantiation_budget)
     return (list(state.prel.extents_for(_accept_commencement(s))), state)

@@ -14,7 +14,6 @@ from typing import Iterator, Optional, Sequence
 from .core import (
     BSRElement,
     Commencement,
-    Continuation,
     ContinuationId,
     Descriptor,
     Slot,
@@ -72,29 +71,31 @@ class DescriptorSet:
 
 
 class ContinuationRelation:
-    """grel and cmap together: commencement -> continuation ids -> callables."""
+    """grel: commencement -> continuation id -> continuation (plan, i, l)."""
 
-    __slots__ = ("_grel", "_cmap")
+    __slots__ = ("_grel",)
 
     def __init__(self) -> None:
-        self._grel: dict[Commencement, list[ContinuationId]] = {}
-        self._cmap: dict[ContinuationId, Continuation] = {}
+        self._grel: dict[Commencement, dict[ContinuationId, object]] = {}
 
-    def add(self, c: Commencement, cid: ContinuationId, cont: Continuation) -> None:
-        """Record (c, cid); first continuation stored for a cid wins."""
-        if cid not in self._cmap:
-            self._cmap[cid] = cont
-        cids = self._grel.get(c)
-        if cids is None:
-            self._grel[c] = [cid]
-        elif cid not in cids:
-            insort(cids, cid, key=lambda x: (x.slot.sort_key, x.left))
+    def add(self, c: Commencement, cid: ContinuationId, cont) -> None:
+        """Record (c, cid); the first continuation stored for a cid wins."""
+        conts = self._grel.get(c)
+        if conts is None:
+            self._grel[c] = {cid: cont}
+        else:
+            conts.setdefault(cid, cont)
 
-    def continuations_for(self, c: Commencement) -> list[tuple[ContinuationId, Continuation]]:
-        cids = self._grel.get(c)
-        if not cids:
-            return []
-        return [(cid, self._cmap[cid]) for cid in cids]
+    def continuations(self, c: Commencement):
+        """The continuations waiting on c, in insertion order (hot path)."""
+        conts = self._grel.get(c)
+        return conts.values() if conts else ()
+
+    def continuations_for(self, c: Commencement) -> list[tuple[ContinuationId, object]]:
+        """(cid, continuation) pairs for c in canonical cid order, for inspection."""
+        conts = self._grel.get(c, {})
+        return [(cid, conts[cid])
+                for cid in sorted(conts, key=lambda x: (x.slot.sort_key, x.left))]
 
     def pairs(self) -> Iterator[tuple[Commencement, ContinuationId]]:
         for c in self._grel:
@@ -143,16 +144,19 @@ class BsrSet:
     def add(self, b: BSRElement) -> None:
         self.add4(b.slot, b.left, b.pivot, b.right)
 
-    def add4(self, slot: Slot, l: int, k: int, r: int) -> None:
-        """Unpacked insert used on the engine's hot path."""
+    def add4(self, slot: Slot, l: int, k: int, r: int) -> bool:
+        """Unpacked insert used on the engine's hot path; True iff the key
+        (slot, l, r) was new."""
         key = (slot, l, r)
         ks = self._index.get(key)
         if ks is None:
             self._index[key] = {k}
             self.size += 1
-        elif k not in ks:
+            return True
+        if k not in ks:
             ks.add(k)
             self.size += 1
+        return False
 
     def pivots(self, slot: Slot, l: int, r: int) -> list[int]:
         ks = self._index.get((slot, l, r))
@@ -224,35 +228,3 @@ class ParseState:
         self.lifo = lifo
         self.reverse_alternates = reverse_alternates
 
-
-def add_descriptor(d: Descriptor, state: ParseState) -> bool:
-    return state.uset.add(d)
-
-
-def has_descriptor(d: Descriptor, state: ParseState) -> bool:
-    return d in state.uset
-
-
-def add_continuation(c: Commencement, cid: ContinuationId, cont: Continuation,
-                     state: ParseState) -> None:
-    state.grel.add(c, cid, cont)
-
-
-def continuations_for(c: Commencement, state: ParseState):
-    return state.grel.continuations_for(c)
-
-
-def add_extent(c: Commencement, r: int, state: ParseState) -> None:
-    state.prel.add(c, r)
-
-
-def extents_for(c: Commencement, state: ParseState) -> list[int]:
-    return state.prel.extents_for(c)
-
-
-def add_bsr(b: BSRElement, state: ParseState) -> None:
-    state.bsrs.add(b)
-
-
-def pivots(slot: Slot, l: int, r: int, state: ParseState) -> list[int]:
-    return state.bsrs.pivots(slot, l, r)

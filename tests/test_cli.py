@@ -1,5 +1,8 @@
 """Command-line behavior: outputs, exit codes, JSON shapes, determinism."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -212,3 +215,21 @@ class TestDeterminism:
         first = run_cli(capsys, *args)
         second = run_cli(capsys, *args)
         assert first == second
+
+
+class TestInternalFailure:
+    def test_recursion_error_exits_2_with_one_line(self):
+        # A fresh process, so that the stack limit is the interpreter's
+        # default whatever other tests have set in this one.
+        src = str(GRAMMARS.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        text = "(" + ",".join("a" * 300) + ")"
+        done = subprocess.run(
+            [sys.executable, "-m", "gllkit.cli", "parse", "--grammar", g("tuples.g"),
+             "--start", "AlphaTuples", "--text", text],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: RecursionError")
+        assert done.stderr.count("\n") == 1

@@ -1,6 +1,6 @@
 """Identifier and slot behavior: interning, ordering, advancing, rendering."""
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gllkit.core import (
     Applied,
@@ -37,8 +37,10 @@ class TestSymbolIds:
         assert x is Applied("CSV", (TokenName("alpha"),))
 
     def test_render(self):
-        assert render_id(TokenName("alpha")) == "alpha"
+        assert render_id(TokenName("alpha")) == "%alpha"
+        assert render_id(TokenName("'a'")) == "'a'"
         assert render_id(Applied("E")) == "E"
+        assert render_id(TokenName("X")) != render_id(Applied("X"))
         inner = Applied("Seq", (TokenName("'a'"), TokenName("'b'")))
         assert render_id(Applied("F", (inner,))) == "F(Seq('a','b'))"
 
@@ -83,7 +85,7 @@ class TestSlots:
         assert render_slot(Slot(E, (), ())) == "E ::= ."
         csv = Applied("CSV", (TokenName("a"),))
         got = render_slot(Slot(csv, (), (csv, TokenName("comma"), csv)))
-        assert got == "CSV(a) ::= . CSV(a) comma CSV(a)"
+        assert got == "CSV(%a) ::= . CSV(%a) %comma CSV(%a)"
 
     @given(st.lists(sym_ids(1), max_size=4))
     def test_full_advance_reaches_end(self, symbols):
@@ -94,6 +96,7 @@ class TestSlots:
         assert s.post == () and s.pre == symbols
 
     @given(st.lists(sym_ids(1), max_size=3), st.lists(sym_ids(1), max_size=3))
+    @example(pre=[TokenName("X"), TokenName("X")], post=[TokenName("X"), Applied("X")])
     def test_render_is_injective(self, pre, post):
         a = Slot(E, tuple(pre), tuple(post))
         b = Slot(E, tuple(post), tuple(pre))

@@ -1,10 +1,11 @@
 """Engine actions and whole-run behavior, including the hand-derived golden
 trace for the cyclic grammar E: E E E | 'a' | on input "a"."""
+import random
+
 import pytest
 
 from gllkit.core import (
     Applied,
-    BSRElement,
     Commencement,
     ContinuationId,
     Descriptor,
@@ -17,7 +18,6 @@ from gllkit.engine import (
     Nonterminal,
     ascend,
     char_token,
-    continue_with,
     descend,
     lazy_nonterminal,
     nonterminal_symbol,
@@ -28,8 +28,8 @@ from gllkit.engine import (
 )
 from gllkit.state import ParseState, ResourceExhausted
 
-from helpers import load_grammar
-from gllkit.dsl import Elaborator
+from helpers import load_grammar, random_grammar, random_input
+from gllkit.dsl import Elaborator, parse_grammar
 
 
 def e_grammar():
@@ -142,27 +142,46 @@ class TestRuns:
         assert 3 in state.prel.extents_for(Commencement(csv, 0))
 
 
+X_SYM = nonterminal_symbol("X", (), [((),)])
+Y_PLAN = AltPlan(Applied("Y"), (X_SYM, X_SYM))  # Y: X X
+Z_PLAN = AltPlan(Applied("Z"), (X_SYM,))  # Z: X
+
+
+def bsr_tuples(state):
+    return {(render_slot(b.slot), b.left, b.pivot, b.right) for b in state.bsrs}
+
+
+def descriptor_tuples(state):
+    return {(render_slot(d.slot), d.left, d.right) for d in state.uset}
+
+
+def queued_tuples(state):
+    return [(render_slot(plan.slots[i]), l, r) for plan, i, l, r in state.queue]
+
+
 class TestActions:
     def test_descend_first_time_runs_alternates(self):
         state = ParseState("a")
-        c = Commencement(Applied("X"), 0)
+        c = Commencement(X_SYM.id, 0)
         ran = []
-        descend(c, ContinuationId(Slot(Applied("Y"), (Applied("X"),), ()), 0),
-                lambda st, k, r: ran.append(("cont", k, r)),
+        descend(c, ContinuationId(Z_PLAN.slots[1], 0), (Z_PLAN, 1, 0),
                 lambda st: ran.append("alts"), state)
         assert ran == ["alts"]
         assert len(list(state.grel.pairs())) == 1
+        assert len(state.bsrs) == 0 and not state.queue
 
     def test_descend_reuses_recorded_extents(self):
         state = ParseState("aa")
-        c = Commencement(Applied("X"), 1)
+        c = Commencement(X_SYM.id, 1)
         state.prel.add(c, 1)
         state.prel.add(c, 2)
         ran = []
-        descend(c, ContinuationId(Slot(Applied("Y"), (Applied("X"),), ()), 0),
-                lambda st, k, r: ran.append((k, r)),
+        descend(c, ContinuationId(Z_PLAN.slots[1], 0), (Z_PLAN, 1, 0),
                 lambda st: ran.append("alts"), state)
-        assert ran == [(1, 1), (1, 2)]
+        assert ran == []
+        assert bsr_tuples(state) == {("Z ::= X .", 0, 1, 1), ("Z ::= X .", 0, 1, 2)}
+        assert queued_tuples(state) == [("Z ::= X .", 0, 1), ("Z ::= X .", 0, 2)]
+        assert descriptor_tuples(state) == {("Z ::= X .", 0, 1), ("Z ::= X .", 0, 2)}
 
     def test_ascend_without_continuations_only_grows_prel(self):
         state = ParseState("a")
@@ -173,29 +192,16 @@ class TestActions:
 
     def test_ascend_applies_each_continuation(self):
         state = ParseState("a")
-        c = Commencement(Applied("X"), 0)
-        ran = []
-        slot_a = Slot(Applied("Y"), (Applied("X"),), (Applied("X"),))
-        slot_b = Slot(Applied("Z"), (Applied("X"),), ())
-        state.grel.add(c, ContinuationId(slot_a, 0),
-                       lambda st, k, r: ran.append(("a", k, r)))
-        state.grel.add(c, ContinuationId(slot_b, 0),
-                       lambda st, k, r: ran.append(("b", k, r)))
+        c = Commencement(X_SYM.id, 0)
+        state.grel.add(c, ContinuationId(Y_PLAN.slots[1], 0), (Y_PLAN, 1, 0))
+        state.grel.add(c, ContinuationId(Z_PLAN.slots[1], 0), (Z_PLAN, 1, 0))
         ascend(c, 1, state)
-        assert sorted(ran) == [("a", 0, 1), ("b", 0, 1)]
-
-    def test_continue_with_gates_on_descriptor(self):
-        state = ParseState("a")
-        slot = Slot(Applied("X"), (TokenName("'a'"),), ())
-        b = BSRElement(slot, 0, 0, 1)
-        ran = []
-        continue_with(b, lambda st: ran.append("effect"), state)
-        continue_with(b, lambda st: ran.append("effect"), state)
-        while state.queue:
-            state.queue.popleft()(state)
-        assert ran == ["effect"]
-        assert len(state.bsrs) == 1
-        assert Descriptor(slot, 0, 1) in state.uset
+        want = {("Y ::= X . X", 0, 1), ("Z ::= X .", 0, 1)}
+        assert bsr_tuples(state) == {("Y ::= X . X", 0, 0, 1), ("Z ::= X .", 0, 0, 1)}
+        assert set(queued_tuples(state)) == want and len(state.queue) == 2
+        assert descriptor_tuples(state) == want
+        ascend(c, 1, state)  # same forest keys again: nothing new to process
+        assert len(state.bsrs) == 2 and len(state.queue) == 2
 
 
 class TestBudgets:
@@ -248,6 +254,74 @@ class TestInvariants:
             assert frozenset(other.uset) == frozenset(base.uset)
             assert other.prel.snapshot() == base.prel.snapshot()
             assert other.bsrs.snapshot() == base.bsrs.snapshot()
+
+
+def fresh_start(grammar_file, start):
+    return Elaborator(load_grammar(grammar_file)).start_symbol(start)
+
+
+def run_to_end(sym, text, **kwargs):
+    """The final state of a run, also when a budget stopped it."""
+    try:
+        return run_recognize(sym, text, **kwargs)[1]
+    except ResourceExhausted as err:
+        return err.state
+
+
+# Exact work of fixed FIFO runs: descriptors processed, |uset|, |bsrs|,
+# |prel|, grel pairs and instantiations. A change to the engine's cost must
+# leave these as they are; a change to its work must update them knowingly.
+PINNED_WORK = [
+    ("e.g", "E", "a" * 20, None, (776, 776, 3814, 231, 484, 1)),
+    ("s1.g", "S1", "a" * 30, None, (1022, 1022, 5486, 496, 496, 1)),
+    ("expr.g", "Expr", "a" + "+a" * 14, None, (375, 375, 800, 120, 121, 1)),
+    ("csv.g", "CSV(alpha)", ",".join("abcdefghi"), None, (144, 144, 210, 45, 46, 1)),
+    ("anbncn.g", "Start", "aabbcc", 100, (160, 163, 13, 6, 146, 101)),
+]
+
+
+class TestPinnedWork:
+    @pytest.mark.parametrize("grammar_file,start,text,budget,want", PINNED_WORK,
+                             ids=[w[1] for w in PINNED_WORK])
+    def test_work_counts(self, grammar_file, start, text, budget, want):
+        state = run_to_end(fresh_start(grammar_file, start), text,
+                           instantiation_budget=budget)
+        got = (state.stats.descriptors_processed, len(state.uset), len(state.bsrs),
+               len(state.prel), sum(1 for _ in state.grel.pairs()),
+               state.stats.instantiations)
+        assert got == want
+
+
+def assert_uset_is_forest_keys_plus_slot_zero(state):
+    """The fact the engine's descriptor gate relies on: every descriptor
+    after slot 0 is exactly one (slot, l, r) key of the forest."""
+    keys = {Descriptor(b.slot, b.left, b.right) for b in state.bsrs}
+    slot_zero = {d for d in state.uset if not d.slot.pre}
+    assert set(state.uset) == keys | slot_zero
+
+
+SCHEDULES = ({}, {"lifo": True}, {"reverse_alternates": True})
+
+
+class TestDescriptorGate:
+    @pytest.mark.parametrize("kwargs", SCHEDULES, ids=["fifo", "lifo", "reversed"])
+    def test_uset_matches_forest_keys_on_fixed_runs(self, kwargs):
+        for grammar_file, start, text, budget, _ in PINNED_WORK:
+            state = run_to_end(fresh_start(grammar_file, start), text,
+                               instantiation_budget=budget, **kwargs)
+            assert_uset_is_forest_keys_plus_slot_zero(state)
+
+    def test_uset_matches_forest_keys_on_random_grammars(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            ast = parse_grammar(random_grammar(rng))
+            start = ast.definitions[0].name
+            for _ in range(2):
+                text = random_input(rng)
+                for kwargs in SCHEDULES:
+                    sym = Elaborator(ast).start_symbol(start)
+                    assert_uset_is_forest_keys_plus_slot_zero(
+                        run_recognize(sym, text, **kwargs)[1])
 
 
 class TestTokenSymbols:

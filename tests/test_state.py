@@ -5,22 +5,13 @@ from gllkit.core import (
     Applied,
     BSRElement,
     Commencement,
+    ContinuationId,
     Descriptor,
     Slot,
     TokenName,
+    bsr_sort_key,
 )
-from gllkit.state import (
-    ParseState,
-    add_bsr,
-    add_continuation,
-    add_descriptor,
-    add_extent,
-    continuations_for,
-    extents_for,
-    has_descriptor,
-    pivots,
-)
-from gllkit.core import ContinuationId
+from gllkit.state import ParseState
 
 E = Applied("E")
 A = TokenName("'a'")
@@ -38,21 +29,21 @@ class TestDescriptorSet:
     def test_membership_after_insert(self):
         state = fresh()
         d = Descriptor(S0, 0, 0)
-        assert not has_descriptor(d, state)
-        assert add_descriptor(d, state)
-        assert has_descriptor(d, state)
+        assert d not in state.uset
+        assert state.uset.add(d)
+        assert d in state.uset
 
     def test_insert_is_idempotent(self):
         state = fresh()
         d = Descriptor(S0, 0, 0)
-        assert add_descriptor(d, state)
-        assert not add_descriptor(d, state)
+        assert state.uset.add(d)
+        assert not state.uset.add(d)
         assert len(state.uset) == 1
 
     def test_iteration_is_sorted(self):
         state = fresh()
         for d in (Descriptor(S2, 1, 2), Descriptor(S0, 0, 0), Descriptor(S1, 0, 1)):
-            add_descriptor(d, state)
+            state.uset.add(d)
         listed = list(state.uset)
         assert listed == sorted(listed, key=lambda d: (d.left, d.right, d.slot.sort_key))
 
@@ -64,7 +55,7 @@ class TestDescriptorSet:
         distinct = set()
         for slot, l, extra in entries:
             r = l + extra if l + extra <= 3 else l
-            add_descriptor(Descriptor(slot, l, r), state)
+            state.uset.add(Descriptor(slot, l, r))
             distinct.add((slot, l, r))
         assert len(state.uset) == len(distinct)
         assert set(state.uset) == {Descriptor(s, l, r) for s, l, r in distinct}
@@ -76,18 +67,18 @@ class TestContinuationRelation:
         c = Commencement(E, 0)
         cid = ContinuationId(S1, 0)
         cont = object()
-        add_continuation(c, cid, cont, state)
-        assert continuations_for(c, state) == [(cid, cont)]
+        state.grel.add(c, cid, cont)
+        assert state.grel.continuations_for(c) == [(cid, cont)]
 
     def test_unseen_commencement_is_empty(self):
-        assert continuations_for(Commencement(E, 0), fresh()) == []
+        assert fresh().grel.continuations_for(Commencement(E, 0)) == []
 
     def test_two_cids_under_one_commencement(self):
         state = fresh()
         c = Commencement(E, 0)
-        add_continuation(c, ContinuationId(S2, 0), "k2", state)
-        add_continuation(c, ContinuationId(S1, 0), "k1", state)
-        got = continuations_for(c, state)
+        state.grel.add(c, ContinuationId(S2, 0), "k2")
+        state.grel.add(c, ContinuationId(S1, 0), "k1")
+        got = state.grel.continuations_for(c)
         assert len(got) == 2
         # canonical order: sorted by continuation id
         assert [cid for cid, _ in got] == [ContinuationId(S1, 0), ContinuationId(S2, 0)]
@@ -96,49 +87,49 @@ class TestContinuationRelation:
         state = fresh()
         c = Commencement(E, 0)
         cid = ContinuationId(S1, 0)
-        add_continuation(c, cid, "first", state)
-        add_continuation(c, cid, "second", state)
-        assert continuations_for(c, state) == [(cid, "first")]
+        state.grel.add(c, cid, "first")
+        state.grel.add(c, cid, "second")
+        assert state.grel.continuations_for(c) == [(cid, "first")]
 
 
 class TestExtentRelation:
     def test_ascending_listing(self):
         state = fresh()
         c = Commencement(E, 0)
-        add_extent(c, 1, state)
-        add_extent(c, 0, state)
-        assert extents_for(c, state) == [0, 1]
+        state.prel.add(c, 1)
+        state.prel.add(c, 0)
+        assert state.prel.extents_for(c) == [0, 1]
 
     def test_unseen_commencement(self):
-        assert extents_for(Commencement(E, 0), fresh()) == []
+        assert fresh().prel.extents_for(Commencement(E, 0)) == []
 
     def test_duplicate_add(self):
         state = fresh()
         c = Commencement(E, 1)
-        add_extent(c, 1, state)
-        add_extent(c, 1, state)
-        assert extents_for(c, state) == [1]
+        state.prel.add(c, 1)
+        state.prel.add(c, 1)
+        assert state.prel.extents_for(c) == [1]
         assert len(state.prel) == 1
 
 
 def load_forest(state, elements):
     for b in elements:
-        add_bsr(b, state)
+        state.bsrs.add(b)
 
 
 class TestBsrSet:
     def test_pivots_ascending(self):
         state = fresh()
         load_forest(state, [BSRElement(S3, 0, 1, 1), BSRElement(S3, 0, 0, 1)])
-        assert pivots(S3, 0, 1, state) == [0, 1]
+        assert state.bsrs.pivots(S3, 0, 1) == [0, 1]
 
     def test_pivots_empty(self):
-        assert pivots(S3, 0, 1, fresh()) == []
+        assert fresh().bsrs.pivots(S3, 0, 1) == []
 
     def test_single_pivot(self):
         state = fresh()
         load_forest(state, [BSRElement(S1, 0, 0, 0)])
-        assert pivots(S1, 0, 0, state) == [0]
+        assert state.bsrs.pivots(S1, 0, 0) == [0]
 
     def test_idempotent_count(self):
         state = fresh()
@@ -152,9 +143,9 @@ class TestBsrSet:
         state = fresh()
         wellformed = [(s, l, k, r) for s, l, k, r in raw if l <= k <= r]
         for s, l, k, r in wellformed:
-            add_bsr(BSRElement(s, l, k, r), state)
+            state.bsrs.add(BSRElement(s, l, k, r))
         for s, l, k, r in wellformed:
-            assert k in pivots(s, l, r, state)
+            assert k in state.bsrs.pivots(s, l, r)
         assert len(state.bsrs) == len(set(wellformed))
         assert state.bsrs.snapshot() == {BSRElement(s, l, k, r)
                                          for s, l, k, r in wellformed}
@@ -164,6 +155,5 @@ class TestBsrSet:
         load_forest(state, [BSRElement(S3, 0, 1, 1), BSRElement(S1, 1, 1, 1),
                             BSRElement(S1, 0, 0, 0), BSRElement(S3, 0, 0, 1)])
         dumped = state.bsrs.sorted_elements()
-        from gllkit.core import bsr_sort_key
         assert dumped == sorted(dumped, key=bsr_sort_key)
         assert len(dumped) == 4
