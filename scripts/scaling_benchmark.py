@@ -9,7 +9,7 @@ the doubling ratio between consecutive sizes.
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -26,7 +26,6 @@ class BenchConfig:
     grammars: tuple[tuple[str, str], ...] = (
         ("s1.g", "S1"), ("s2.g", "S2"), ("e.g", "E"))
     repeats: int = 1
-    results: list[dict] = field(default_factory=list)
 
 
 def bench_one(config, grammar_file, start):
@@ -58,7 +57,6 @@ def main(argv=None):
 
     for grammar_file, start in config.grammars:
         rows = bench_one(config, grammar_file, start)
-        config.results.extend(rows)
         print(f"{start} ({grammar_file})")
         prev = None
         for row in rows:

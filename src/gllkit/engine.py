@@ -1,4 +1,4 @@
-"""The generalized-LL engine: descend, ascend, continue and process actions.
+"""The generalized-LL engine: descend, ascend and continue actions.
 
 Symbols carry an identifier plus a matcher; nonterminal symbols own a list of
 alternate plans (symbol sequence, slot chain, semantic action). Effects are
@@ -119,8 +119,7 @@ class Nonterminal(Symbol):
         return self._plans
 
     def match(self, state: ParseState, l: int, cid: ContinuationId, cont) -> None:
-        descend(Commencement(self.id, l), cid, cont,
-                lambda st: _alternates(st, self, l), state)
+        descend(self, l, cid, cont, state)
 
 
 def token_symbol(pattern: TokenPattern) -> Token:
@@ -157,54 +156,49 @@ def _retreat(slot: Slot) -> Slot:
 
 
 # A continuation is (plan, i, l): on (pivot, right) it records BSR element
-# (plan.slots[i], l, pivot, right) and processes the advanced descriptor.
+# (plan.slots[i], l, pivot, right) and queues the advanced descriptor.
 # None is the inert continuation used above the start symbol.
 #
-# Every descriptor after slot 0 is made together with a BSR element of the
-# same (slot, l, r), so it is new exactly when that forest key is new: only
-# then is it passed to _process. Slot-0 descriptors are gated by uset alone.
+# Every descriptor is queued once. One after slot 0 is made together with a
+# BSR element of the same (slot, l, r), so it is new exactly when that forest
+# key is new. Slot-0 descriptors are queued only when descend starts a new
+# commencement: an empty alternate's is gated on its own forest key, a
+# non-empty one's on state.starts (duplicate alternates share their slots).
 
 
 def _apply_conts(state: ParseState, conts, k: int, r: int) -> None:
     """Apply each continuation in conts to pivot k and right extent r."""
     add4 = state.bsrs.add4
+    queue = state.queue
     for cont in conts:
         if cont is not None:
             plan, i, l = cont
             if add4(plan.slots[i], l, k, r):
-                _process(state, plan, i, l, r)
-
-
-def _process(state: ParseState, plan: AltPlan, i: int, l: int, r: int) -> None:
-    """Gate on the descriptor set; schedule the descriptor's effect iff new."""
-    if state.uset.add3(plan.slots[i], l, r):
-        stats = state.stats
-        stats.fuel_consumed += 1
-        if state.fuel is not None and stats.fuel_consumed > state.fuel:
-            err = ResourceExhausted(f"fuel budget of {state.fuel} exhausted")
-            err.state = state
-            raise err
-        state.queue.append((plan, i, l, r))
+                queue.append((plan, i, l, r))
 
 
 def _alternates(state: ParseState, sym: Nonterminal, l: int) -> None:
-    """Apply the initial effect of every alternate of sym at extent l."""
+    """Queue the slot-0 descriptor of every alternate of sym at extent l."""
     if sym._plans is None:
         stats = state.stats
         stats.instantiations += 1
         budget = state.instantiation_budget
         if budget is not None and stats.instantiations > budget:
-            err = ResourceExhausted(
-                f"instantiation budget of {budget} exhausted")
-            err.state = state
-            raise err
+            raise ResourceExhausted(
+                f"instantiation budget of {budget} exhausted", state)
     plans = sym.plans()
     if state.reverse_alternates:
         plans = tuple(reversed(plans))
+    starts = state.starts
     for plan in plans:
-        if not plan.symbols:
-            state.bsrs.add4(plan.slots[0], l, l, l)
-        _process(state, plan, 0, l, l)
+        slot = plan.slots[0]
+        if plan.symbols:
+            if (slot, l) in starts:
+                continue
+            starts.add((slot, l))
+        elif not state.bsrs.add4(slot, l, l, l):
+            continue
+        state.queue.append((plan, 0, l, l))
 
 
 def _act(state: ParseState, plan: AltPlan, i: int, l: int, r: int) -> None:
@@ -218,23 +212,23 @@ def _act(state: ParseState, plan: AltPlan, i: int, l: int, r: int) -> None:
         inp = state.input
         if r < len(inp) and sym.pattern.classifier(inp[r]) is not None:
             if state.bsrs.add4(plan.slots[i + 1], l, r, r + 1):
-                _process(state, plan, i + 1, l, r + 1)
+                state.queue.append((plan, i + 1, l, r + 1))
         else:
             state.failures.record(r, plan.slots[i])
     else:
         sym.match(state, r, ContinuationId(plan.slots[i + 1], l), (plan, i + 1, l))
 
 
-def descend(c: Commencement, cid: ContinuationId, cont,
-            alternates_effect: Callable[[ParseState], None], state: ParseState) -> None:
-    """Register the continuation; reuse known extents or start the alternates."""
-    state.grel.add(c, cid, cont)
-    extents = state.prel.extents_for(c)
-    if extents:
-        for r in extents:
-            _apply_conts(state, (cont,), c.left, r)
+def descend(sym: Nonterminal, l: int, cid: ContinuationId, cont,
+            state: ParseState) -> None:
+    """Register the continuation; start sym's alternates at a new commencement,
+    else apply the continuation to the extents found so far."""
+    c = Commencement(sym.id, l)
+    if state.grel.add(c, cid, cont):
+        _alternates(state, sym, l)
     else:
-        alternates_effect(state)
+        for r in state.prel.extents_for(c):
+            _apply_conts(state, (cont,), l, r)
 
 
 def ascend(c: Commencement, r: int, state: ParseState) -> None:
@@ -244,11 +238,16 @@ def ascend(c: Commencement, r: int, state: ParseState) -> None:
 
 
 def _drive(state: ParseState) -> None:
-    """Drain the work queue to quiescence under the configured schedule."""
+    """Drain the work queue to quiescence under the configured schedule.
+
+    The fuel budget trips before the first descriptor past it is processed."""
     queue = state.queue
     pop = queue.pop if state.lifo else queue.popleft
     stats = state.stats
+    fuel = state.fuel
     while queue:
+        if fuel is not None and stats.descriptors_processed >= fuel:
+            raise ResourceExhausted(f"fuel budget of {fuel} exhausted", state)
         plan, i, l, r = pop()
         stats.descriptors_processed += 1
         _act(state, plan, i, l, r)

@@ -1,4 +1,5 @@
-"""The five grow-only parse structures plus counters and the work queue.
+"""The four grow-only parse structures plus alternate starts, counters and
+the work queue.
 
 A ParseState is confined to a single parse run. Every structure only grows;
 listing operations return canonical ascending order regardless of insertion
@@ -22,52 +23,12 @@ from .core import (
 
 
 class ResourceExhausted(Exception):
-    """Raised when a parse run exceeds its fuel budget."""
+    """Raised when a parse run exceeds its fuel budget (descriptors processed)
+    or its instantiation budget; `state` is the run as it stood at the trip."""
 
-
-class DescriptorSet:
-    """Seen descriptors, stored as a nested trie: left -> right -> set of slots."""
-
-    __slots__ = ("_trie", "size")
-
-    def __init__(self) -> None:
-        self._trie: dict[int, dict[int, set[Slot]]] = {}
-        self.size = 0
-
-    def add(self, d: Descriptor) -> bool:
-        """Insert; return True iff the descriptor was new."""
-        return self.add3(d.slot, d.left, d.right)
-
-    def add3(self, slot: Slot, left: int, right: int) -> bool:
-        """Unpacked insert used on the engine's hot path."""
-        by_right = self._trie.get(left)
-        if by_right is None:
-            by_right = self._trie[left] = {}
-        slots = by_right.get(right)
-        if slots is None:
-            slots = by_right[right] = set()
-        if slot in slots:
-            return False
-        slots.add(slot)
-        self.size += 1
-        return True
-
-    def __contains__(self, d: Descriptor) -> bool:
-        by_right = self._trie.get(d.left)
-        if by_right is None:
-            return False
-        slots = by_right.get(d.right)
-        return slots is not None and d.slot in slots
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self) -> Iterator[Descriptor]:
-        for left in sorted(self._trie):
-            by_right = self._trie[left]
-            for right in sorted(by_right):
-                for slot in sorted(by_right[right], key=lambda s: s.sort_key):
-                    yield Descriptor(slot, left, right)
+    def __init__(self, message: str, state: "ParseState") -> None:
+        super().__init__(message)
+        self.state = state
 
 
 class ContinuationRelation:
@@ -78,13 +39,15 @@ class ContinuationRelation:
     def __init__(self) -> None:
         self._grel: dict[Commencement, dict[ContinuationId, object]] = {}
 
-    def add(self, c: Commencement, cid: ContinuationId, cont) -> None:
-        """Record (c, cid); the first continuation stored for a cid wins."""
+    def add(self, c: Commencement, cid: ContinuationId, cont) -> bool:
+        """Record (c, cid); the first continuation stored for a cid wins.
+        True iff c is a new commencement."""
         conts = self._grel.get(c)
         if conts is None:
             self._grel[c] = {cid: cont}
-        else:
-            conts.setdefault(cid, cont)
+            return True
+        conts.setdefault(cid, cont)
+        return False
 
     def continuations(self, c: Commencement):
         """The continuations waiting on c, in insertion order (hot path)."""
@@ -178,12 +141,41 @@ class BsrSet:
         return frozenset(self)
 
 
+class DescriptorView:
+    """uset, read-only: every descriptor queued so far, each exactly once.
+
+    A descriptor after slot 0 is made together with a BSR element of the same
+    (slot, l, r), and an empty alternate's slot 0 is itself such a key. The
+    descriptors are therefore the forest keys plus the starts (slot, l) of
+    non-empty alternates at (l, l); the two parts are disjoint.
+    """
+
+    __slots__ = ("_keys", "_starts")
+
+    def __init__(self, bsrs: BsrSet, starts: set) -> None:
+        self._keys = bsrs._index
+        self._starts = starts
+
+    def __contains__(self, d: Descriptor) -> bool:
+        return (d.slot, d.left, d.right) in self._keys or (
+            d.left == d.right and (d.slot, d.left) in self._starts)
+
+    def __len__(self) -> int:
+        return len(self._keys) + len(self._starts)
+
+    def __iter__(self) -> Iterator[Descriptor]:
+        """Ascending by (left, right, slot)."""
+        ds = [Descriptor(slot, l, r) for slot, l, r in self._keys]
+        ds.extend(Descriptor(slot, l, l) for slot, l in self._starts)
+        ds.sort(key=lambda d: (d.left, d.right, d.slot.sort_key))
+        return iter(ds)
+
+
 @dataclass
 class Stats:
     """Work counters for one run."""
 
     descriptors_processed: int = 0
-    fuel_consumed: int = 0
     instantiations: int = 0
 
 
@@ -205,7 +197,7 @@ class FailureTracking:
 class ParseState:
     """All mutable context of one parse run over an immutable token buffer."""
 
-    __slots__ = ("input", "uset", "grel", "prel", "bsrs", "stats", "fuel",
+    __slots__ = ("input", "starts", "uset", "grel", "prel", "bsrs", "stats", "fuel",
                  "instantiation_budget", "failures", "queue", "lifo",
                  "reverse_alternates")
 
@@ -213,10 +205,12 @@ class ParseState:
                  lifo: bool = False, reverse_alternates: bool = False,
                  instantiation_budget: Optional[int] = None) -> None:
         self.input = input
-        self.uset = DescriptorSet()
         self.grel = ContinuationRelation()
         self.prel = ExtentRelation()
         self.bsrs = BsrSet()
+        # (slot 0, l) of every non-empty alternate started at l.
+        self.starts: set[tuple[Slot, int]] = set()
+        self.uset = DescriptorView(self.bsrs, self.starts)
         self.stats = Stats()
         self.fuel = fuel
         # Guards runaway instantiation of fresh parameterized nonterminals,

@@ -127,11 +127,3 @@ def brute_count(ast: GrammarAst, start: str, text: str) -> int:
         return total
 
     return nt_count(start, 0, len(text), frozenset())
-
-
-def brute_accepts(ast: GrammarAst, start: str, text: str) -> bool:
-    return brute_count(ast, start, text) > 0
-
-
-def uset_snapshot(state) -> frozenset:
-    return frozenset(state.uset)

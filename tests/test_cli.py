@@ -68,6 +68,13 @@ class TestRecognize:
                                "--fuel", "20000")
         assert code == 2 and "exhausted" in err
 
+    def test_descriptor_fuel_trip(self, capsys):
+        # The test above trips the instantiation budget (fuel // 100) first.
+        code, out, err = run_cli(capsys, "recognize", "--grammar", g("e.g"),
+                                 "--start", "E", "--text", "aaaa", "--fuel", "5")
+        assert code == 2 and out == ""
+        assert err == "error: fuel budget of 5 exhausted\n"
+
 
 class TestBsr:
     def test_dump_and_total(self, capsys):

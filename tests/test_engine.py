@@ -40,7 +40,7 @@ def e_grammar():
     return sym
 
 
-# Hand-derived by stepping the descend/ascend/continue/process actions on
+# Hand-derived by stepping the descend/ascend/continue actions on
 # E: E E E | 'a' | over "a": exactly these descriptors are processed and
 # exactly these forest elements are recorded.
 GOLDEN_DESCRIPTORS = {
@@ -159,29 +159,45 @@ def queued_tuples(state):
     return [(render_slot(plan.slots[i]), l, r) for plan, i, l, r in state.queue]
 
 
+def descend_z(state, l):
+    """Descend into X at l on behalf of Z: X."""
+    descend(X_SYM, l, ContinuationId(Z_PLAN.slots[1], 0), (Z_PLAN, 1, 0), state)
+
+
+def descend_y(state, l):
+    """Descend into X at l on behalf of Y: X X."""
+    descend(X_SYM, l, ContinuationId(Y_PLAN.slots[1], 0), (Y_PLAN, 1, 0), state)
+
+
 class TestActions:
     def test_descend_first_time_runs_alternates(self):
         state = ParseState("a")
-        c = Commencement(X_SYM.id, 0)
-        ran = []
-        descend(c, ContinuationId(Z_PLAN.slots[1], 0), (Z_PLAN, 1, 0),
-                lambda st: ran.append("alts"), state)
-        assert ran == ["alts"]
+        descend_z(state, 0)
         assert len(list(state.grel.pairs())) == 1
-        assert len(state.bsrs) == 0 and not state.queue
+        # X's one alternate is empty: its slot 0 is also a forest key
+        assert bsr_tuples(state) == {("X ::= .", 0, 0, 0)}
+        assert queued_tuples(state) == [("X ::= .", 0, 0)]
 
     def test_descend_reuses_recorded_extents(self):
         state = ParseState("aa")
+        descend_y(state, 1)
         c = Commencement(X_SYM.id, 1)
         state.prel.add(c, 1)
         state.prel.add(c, 2)
-        ran = []
-        descend(c, ContinuationId(Z_PLAN.slots[1], 0), (Z_PLAN, 1, 0),
-                lambda st: ran.append("alts"), state)
-        assert ran == []
-        assert bsr_tuples(state) == {("Z ::= X .", 0, 1, 1), ("Z ::= X .", 0, 1, 2)}
-        assert queued_tuples(state) == [("Z ::= X .", 0, 1), ("Z ::= X .", 0, 2)]
-        assert descriptor_tuples(state) == {("Z ::= X .", 0, 1), ("Z ::= X .", 0, 2)}
+        descend_z(state, 1)
+        assert bsr_tuples(state) == {("X ::= .", 1, 1, 1), ("Z ::= X .", 0, 1, 1),
+                                     ("Z ::= X .", 0, 1, 2)}
+        assert queued_tuples(state) == [("X ::= .", 1, 1), ("Z ::= X .", 0, 1),
+                                        ("Z ::= X .", 0, 2)]
+        assert descriptor_tuples(state) == set(queued_tuples(state))
+
+    def test_redescend_without_extents_queues_nothing(self):
+        state = ParseState("a")
+        descend_z(state, 0)
+        descend_y(state, 0)
+        assert len(list(state.grel.pairs())) == 2
+        assert queued_tuples(state) == [("X ::= .", 0, 0)]
+        assert len(state.bsrs) == 1
 
     def test_ascend_without_continuations_only_grows_prel(self):
         state = ParseState("a")
@@ -212,7 +228,14 @@ class TestBudgets:
     def test_fuel_not_tripped_when_sufficient(self):
         accepted, state = run_recognize(e_grammar(), "a", fuel=1000)
         assert accepted
-        assert state.stats.fuel_consumed == 16
+        assert state.stats.descriptors_processed == 16
+
+    def test_fuel_boundary(self):
+        accepted, state = run_recognize(e_grammar(), "a", fuel=16)
+        assert accepted and state.stats.descriptors_processed == 16
+        with pytest.raises(ResourceExhausted, match="fuel budget of 15") as trip:
+            run_recognize(e_grammar(), "a", fuel=15)
+        assert trip.value.state.stats.descriptors_processed == 15
 
     def test_instantiation_budget(self):
         a = char_token("a")
@@ -252,6 +275,7 @@ class TestInvariants:
         for kwargs in ({"lifo": True}, {"reverse_alternates": True}):
             other = run_recognize(e_grammar(), "aaa", **kwargs)[1]
             assert frozenset(other.uset) == frozenset(base.uset)
+            assert other.grel.snapshot() == base.grel.snapshot()
             assert other.prel.snapshot() == base.prel.snapshot()
             assert other.bsrs.snapshot() == base.bsrs.snapshot()
 
@@ -277,7 +301,15 @@ PINNED_WORK = [
     ("expr.g", "Expr", "a" + "+a" * 14, None, (375, 375, 800, 120, 121, 1)),
     ("csv.g", "CSV(alpha)", ",".join("abcdefghi"), None, (144, 144, 210, 45, 46, 1)),
     ("anbncn.g", "Start", "aabbcc", 100, (160, 163, 13, 6, 146, 101)),
+    ("dup.g", "D", "aaa", None, (17, 17, 13, 10, 4, 1)),
 ]
+SCHEDULES = ({}, {"lifo": True}, {"reverse_alternates": True})
+
+
+def work_of(state):
+    return (state.stats.descriptors_processed, len(state.uset), len(state.bsrs),
+            len(state.prel), sum(1 for _ in state.grel.pairs()),
+            state.stats.instantiations)
 
 
 class TestPinnedWork:
@@ -286,21 +318,27 @@ class TestPinnedWork:
     def test_work_counts(self, grammar_file, start, text, budget, want):
         state = run_to_end(fresh_start(grammar_file, start), text,
                            instantiation_budget=budget)
-        got = (state.stats.descriptors_processed, len(state.uset), len(state.bsrs),
-               len(state.prel), sum(1 for _ in state.grel.pairs()),
-               state.stats.instantiations)
-        assert got == want
+        assert work_of(state) == want
+
+    @pytest.mark.parametrize("kwargs", SCHEDULES[1:], ids=["lifo", "reversed"])
+    def test_work_counts_do_not_depend_on_schedule(self, kwargs):
+        """Where no budget stops the run; a trip point depends on the order."""
+        for grammar_file, start, text, budget, want in PINNED_WORK:
+            if budget is None:
+                state = run_recognize(fresh_start(grammar_file, start), text,
+                                      **kwargs)[1]
+                assert work_of(state) == want, start
 
 
 def assert_uset_is_forest_keys_plus_slot_zero(state):
-    """The fact the engine's descriptor gate relies on: every descriptor
-    after slot 0 is exactly one (slot, l, r) key of the forest."""
-    keys = {Descriptor(b.slot, b.left, b.right) for b in state.bsrs}
-    slot_zero = {d for d in state.uset if not d.slot.pre}
-    assert set(state.uset) == keys | slot_zero
-
-
-SCHEDULES = ({}, {"lifo": True}, {"reverse_alternates": True})
+    """The facts the descriptor view relies on: every forest key is past
+    slot 0 or is an empty alternate's slot 0, and every start is a non-empty
+    alternate's slot 0, so the two parts of uset are disjoint and its length
+    counts each descriptor once."""
+    assert all(b.slot.pre or not b.slot.post for b in state.bsrs)
+    assert all(not slot.pre and slot.post for slot, _ in state.starts)
+    listed = list(state.uset)
+    assert len(set(listed)) == len(listed) == len(state.uset)
 
 
 class TestDescriptorGate:

@@ -11,7 +11,11 @@ from gllkit.core import (
     TokenName,
     bsr_sort_key,
 )
+from gllkit.dsl import Elaborator
+from gllkit.engine import run_recognize
 from gllkit.state import ParseState
+
+from helpers import load_grammar
 
 E = Applied("E")
 A = TokenName("'a'")
@@ -25,40 +29,40 @@ def fresh(n=4):
     return ParseState("a" * n)
 
 
+def e_run(text):
+    """The final state of recognizing text with E: E E E | 'a' |."""
+    return run_recognize(Elaborator(load_grammar("e.g")).start_symbol("E"), text)[1]
+
+
 class TestDescriptorSet:
+    """uset: a read-only view of the forest keys plus the alternate starts."""
+
     def test_membership_after_insert(self):
-        state = fresh()
-        d = Descriptor(S0, 0, 0)
-        assert d not in state.uset
-        assert state.uset.add(d)
-        assert d in state.uset
+        state = e_run("a")
+        for b in state.bsrs:
+            assert Descriptor(b.slot, b.left, b.right) in state.uset
+        assert Descriptor(S0, 0, 0) in state.uset  # a start, not a forest key
+        assert Descriptor(S0, 1, 1) in state.uset
+        assert Descriptor(S0, 0, 1) not in state.uset
+        assert Descriptor(S3, 1, 2) not in state.uset
 
     def test_insert_is_idempotent(self):
-        state = fresh()
-        d = Descriptor(S0, 0, 0)
-        assert state.uset.add(d)
-        assert not state.uset.add(d)
-        assert len(state.uset) == 1
+        state = e_run("aa")
+        listed = list(state.uset)
+        assert len(listed) == len(set(listed)) == len(state.uset)
+        assert len(state.uset) == state.stats.descriptors_processed
 
     def test_iteration_is_sorted(self):
-        state = fresh()
-        for d in (Descriptor(S2, 1, 2), Descriptor(S0, 0, 0), Descriptor(S1, 0, 1)):
-            state.uset.add(d)
-        listed = list(state.uset)
+        listed = list(e_run("aa").uset)
         assert listed == sorted(listed, key=lambda d: (d.left, d.right, d.slot.sort_key))
 
-    @given(st.lists(st.tuples(st.sampled_from([S0, S1, S2, S3]),
-                              st.integers(0, 3), st.integers(0, 3)),
-                    max_size=20))
-    def test_size_matches_distinct_inserts(self, entries):
-        state = fresh()
-        distinct = set()
-        for slot, l, extra in entries:
-            r = l + extra if l + extra <= 3 else l
-            state.uset.add(Descriptor(slot, l, r))
-            distinct.add((slot, l, r))
-        assert len(state.uset) == len(distinct)
-        assert set(state.uset) == {Descriptor(s, l, r) for s, l, r in distinct}
+    @given(st.text(alphabet="ab", max_size=4))
+    def test_size_matches_distinct_inserts(self, text):
+        state = e_run(text)
+        keys = {(b.slot, b.left, b.right) for b in state.bsrs}
+        assert len(state.uset) == len(keys) + len(state.starts)
+        assert set(state.uset) == {Descriptor(*k) for k in keys} | {
+            Descriptor(slot, l, l) for slot, l in state.starts}
 
 
 class TestContinuationRelation:
