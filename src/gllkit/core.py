@@ -127,6 +127,13 @@ def slot_advance(slot: Slot) -> Slot:
     return Slot(slot.lhs, slot.pre + (slot.post[0],), slot.post[1:])
 
 
+def slot_retreat(slot: Slot) -> Slot:
+    """Move the dot one symbol to the left; a slot at the start stays put."""
+    if not slot.pre:
+        return slot
+    return Slot(slot.lhs, slot.pre[:-1], (slot.pre[-1],) + slot.post)
+
+
 def render_slot(slot: Slot) -> str:
     """Textual form "lhs ::= pre . post", deterministic and grammar-injective."""
     if slot._rendered is None:

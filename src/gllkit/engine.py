@@ -17,6 +17,7 @@ from .core import (
     Slot,
     SymbolId,
     TokenName,
+    slot_retreat,
 )
 from .state import ParseState, ResourceExhausted
 
@@ -89,9 +90,9 @@ class Token(Symbol):
     def match(self, state: ParseState, l: int, cid: ContinuationId, cont) -> None:
         inp = state.input
         if l < len(inp) and self.pattern.classifier(inp[l]) is not None:
-            _apply_conts(state, (cont,), l, l + 1)
+            _apply_conts(state, (cont,), l + 1)
         else:
-            state.failures.record(l, _retreat(cid.slot))
+            state.failures.record(l, slot_retreat(cid.slot))
 
 
 class Nonterminal(Symbol):
@@ -148,16 +149,12 @@ def lazy_nonterminal(sid: SymbolId, thunk: Callable[[], Iterable[AltPlan]]) -> N
     return Nonterminal(sid, thunk=thunk)
 
 
-def _retreat(slot: Slot) -> Slot:
-    """The slot one symbol to the left of `slot`'s dot (for failure reports)."""
-    if not slot.pre:
-        return slot
-    return Slot(slot.lhs, slot.pre[:-1], (slot.pre[-1],) + slot.post)
-
-
-# A continuation is (plan, i, l): on (pivot, right) it records BSR element
-# (plan.slots[i], l, pivot, right) and queues the advanced descriptor.
-# None is the inert continuation used above the start symbol.
+# A continuation is (plan, i, l): applied to a right extent r, it makes the
+# BSR element under key (plan.slots[i], l, r), whose pivot the forest derives,
+# and queues the advanced descriptor. None is the inert continuation used
+# above the start symbol. A continuation is applied to each extent of its
+# commencement once: by descend to those found before it was registered, by
+# ascend to those found after. So every element is made once.
 #
 # Every descriptor is queued once. One after slot 0 is made together with a
 # BSR element of the same (slot, l, r), so it is new exactly when that forest
@@ -166,14 +163,14 @@ def _retreat(slot: Slot) -> Slot:
 # non-empty one's on state.starts (duplicate alternates share their slots).
 
 
-def _apply_conts(state: ParseState, conts, k: int, r: int) -> None:
-    """Apply each continuation in conts to pivot k and right extent r."""
-    add4 = state.bsrs.add4
+def _apply_conts(state: ParseState, conts, r: int) -> None:
+    """Apply each continuation in conts to right extent r."""
+    record = state.bsrs.record
     queue = state.queue
     for cont in conts:
         if cont is not None:
             plan, i, l = cont
-            if add4(plan.slots[i], l, k, r):
+            if record(plan.slots[i], l, r):
                 queue.append((plan, i, l, r))
 
 
@@ -190,14 +187,17 @@ def _alternates(state: ParseState, sym: Nonterminal, l: int) -> None:
     if state.reverse_alternates:
         plans = tuple(reversed(plans))
     starts = state.starts
+    bsrs = state.bsrs
     for plan in plans:
         slot = plan.slots[0]
         if plan.symbols:
             if (slot, l) in starts:
                 continue
             starts.add((slot, l))
-        elif not state.bsrs.add4(slot, l, l, l):
+        elif bsrs.has_key(slot, l, l):  # a duplicate empty alternate
             continue
+        else:
+            bsrs.record(slot, l, l)
         state.queue.append((plan, 0, l, l))
 
 
@@ -211,7 +211,7 @@ def _act(state: ParseState, plan: AltPlan, i: int, l: int, r: int) -> None:
     if type(sym) is Token:
         inp = state.input
         if r < len(inp) and sym.pattern.classifier(inp[r]) is not None:
-            if state.bsrs.add4(plan.slots[i + 1], l, r, r + 1):
+            if state.bsrs.record(plan.slots[i + 1], l, r + 1):
                 state.queue.append((plan, i + 1, l, r + 1))
         else:
             state.failures.record(r, plan.slots[i])
@@ -227,14 +227,15 @@ def descend(sym: Nonterminal, l: int, cid: ContinuationId, cont,
     if state.grel.add(c, cid, cont):
         _alternates(state, sym, l)
     else:
-        for r in state.prel.extents_for(c):
-            _apply_conts(state, (cont,), l, r)
+        for r in state.prel.extents(c):
+            _apply_conts(state, (cont,), r)
 
 
 def ascend(c: Commencement, r: int, state: ParseState) -> None:
-    """Record the extent and apply every continuation registered for c."""
-    state.prel.add(c, r)
-    _apply_conts(state, state.grel.continuations(c), c.left, r)
+    """Record the extent; when it is new, apply every continuation registered
+    for c (descend has applied a later one to it)."""
+    if state.prel.add(c, r):
+        _apply_conts(state, state.grel.continuations(c), r)
 
 
 def _drive(state: ParseState) -> None:

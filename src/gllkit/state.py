@@ -7,7 +7,6 @@ order so dumps and traces are deterministic.
 """
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -18,7 +17,10 @@ from .core import (
     ContinuationId,
     Descriptor,
     Slot,
+    SymbolId,
+    TokenName,
     bsr_sort_key,
+    slot_retreat,
 )
 
 
@@ -54,12 +56,6 @@ class ContinuationRelation:
         conts = self._grel.get(c)
         return conts.values() if conts else ()
 
-    def continuations_for(self, c: Commencement) -> list[tuple[ContinuationId, object]]:
-        """(cid, continuation) pairs for c in canonical cid order, for inspection."""
-        conts = self._grel.get(c, {})
-        return [(cid, conts[cid])
-                for cid in sorted(conts, key=lambda x: (x.slot.sort_key, x.left))]
-
     def pairs(self) -> Iterator[tuple[Commencement, ContinuationId]]:
         for c in self._grel:
             for cid in self._grel[c]:
@@ -70,67 +66,108 @@ class ContinuationRelation:
         return frozenset(self.pairs())
 
 
-class ExtentRelation:
-    """prel: right extents discovered per commencement, kept sorted."""
+_NONE: frozenset = frozenset()
 
-    __slots__ = ("_rel",)
+
+class ExtentRelation:
+    """prel: the right extents r found per commencement (X, k), indexed both
+    ways, (X, k) -> {r} and (X, r) -> {k}, plus their number."""
+
+    __slots__ = ("_rights", "_lefts", "size")
 
     def __init__(self) -> None:
-        self._rel: dict[Commencement, list[int]] = {}
+        self._rights: dict[Commencement, set[int]] = {}
+        self._lefts: dict[tuple[SymbolId, int], set[int]] = {}
+        self.size = 0
 
-    def add(self, c: Commencement, r: int) -> None:
-        extents = self._rel.get(c)
-        if extents is None:
-            self._rel[c] = [r]
-        elif r not in extents:
-            insort(extents, r)
+    def add(self, c: Commencement, r: int) -> bool:
+        """Record extent r of c; True iff it is new."""
+        rights = self._rights.setdefault(c, set())
+        if r in rights:
+            return False
+        rights.add(r)
+        self._lefts.setdefault((c.nonterminal, r), set()).add(c.left)
+        self.size += 1
+        return True
+
+    def extents(self, c: Commencement):
+        """The stored set of c's right extents, unordered (hot path)."""
+        return self._rights.get(c, _NONE)
 
     def extents_for(self, c: Commencement) -> list[int]:
-        return self._rel.get(c, [])
+        """c's right extents, ascending."""
+        return sorted(self._rights.get(c, _NONE))
+
+    def lefts(self, x: SymbolId, r: int):
+        """The left extents k with r among the extents of (x, k), unordered."""
+        return self._lefts.get((x, r), _NONE)
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._rel.values())
+        return self.size
 
     def snapshot(self) -> frozenset:
-        return frozenset((c, r) for c, v in self._rel.items() for r in v)
+        return frozenset((c, r) for c, v in self._rights.items() for r in v)
 
 
 class BsrSet:
-    """The forest: (slot, l, r) -> set of pivots, plus a total element count."""
+    """The forest, stored as its keys (slot, l, r) grouped by (slot, l); its
+    length counts the elements as the engine makes them, each once.
 
-    __slots__ = ("_index", "size")
+    An element (slot_i, l, k, r) with i >= 1 exists exactly when descriptor
+    (slot_{i-1}, l, k) was queued and symbol i-1 spans k..r, so pivots are
+    derived, not stored: l when i <= 1, r-1 after a token, else each k that is
+    a right extent of (slot_{i-1}, l) and a left extent of (symbol i-1, r).
+    Deriving is valid only on a drained run; read a tripped run's length alone.
+    """
 
-    def __init__(self) -> None:
-        self._index: dict[tuple[Slot, int, int], set[int]] = {}
+    __slots__ = ("_rights", "_prel", "size", "nkeys")
+
+    def __init__(self, prel: ExtentRelation) -> None:
+        self._rights: dict[tuple[Slot, int], set[int]] = {}
+        self._prel = prel
         self.size = 0
+        self.nkeys = 0
 
-    def add(self, b: BSRElement) -> None:
-        self.add4(b.slot, b.left, b.pivot, b.right)
+    def record(self, slot: Slot, l: int, r: int) -> bool:
+        """Count one element made under key (slot, l, r), on the engine's hot
+        path; True iff the key is new."""
+        self.size += 1
+        rights = self._rights.get((slot, l))
+        if rights is None:
+            self._rights[(slot, l)] = {r}
+        elif r in rights:
+            return False
+        else:
+            rights.add(r)
+        self.nkeys += 1
+        return True
 
-    def add4(self, slot: Slot, l: int, k: int, r: int) -> bool:
-        """Unpacked insert used on the engine's hot path; True iff the key
-        (slot, l, r) was new."""
-        key = (slot, l, r)
-        ks = self._index.get(key)
-        if ks is None:
-            self._index[key] = {k}
-            self.size += 1
-            return True
-        if k not in ks:
-            ks.add(k)
-            self.size += 1
-        return False
+    def has_key(self, slot: Slot, l: int, r: int) -> bool:
+        return r in self._rights.get((slot, l), _NONE)
+
+    def keys(self) -> Iterator[tuple[Slot, int, int]]:
+        for (slot, l), rights in self._rights.items():
+            for r in rights:
+                yield (slot, l, r)
 
     def pivots(self, slot: Slot, l: int, r: int) -> list[int]:
-        ks = self._index.get((slot, l, r))
-        return sorted(ks) if ks else []
+        """The pivots of the elements under key (slot, l, r), ascending."""
+        if not self.has_key(slot, l, r):
+            return []
+        if len(slot.pre) <= 1:
+            return [l]
+        last = slot.pre[-1]
+        if type(last) is TokenName:
+            return [r - 1]
+        return sorted(self._rights[(slot_retreat(slot), l)]
+                      & self._prel.lefts(last, r))
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self) -> Iterator[BSRElement]:
-        for (slot, l, r), ks in self._index.items():
-            for k in ks:
+        for slot, l, r in self.keys():
+            for k in self.pivots(slot, l, r):
                 yield BSRElement(slot, l, k, r)
 
     def sorted_elements(self) -> list[BSRElement]:
@@ -150,22 +187,22 @@ class DescriptorView:
     non-empty alternates at (l, l); the two parts are disjoint.
     """
 
-    __slots__ = ("_keys", "_starts")
+    __slots__ = ("_bsrs", "_starts")
 
     def __init__(self, bsrs: BsrSet, starts: set) -> None:
-        self._keys = bsrs._index
+        self._bsrs = bsrs
         self._starts = starts
 
     def __contains__(self, d: Descriptor) -> bool:
-        return (d.slot, d.left, d.right) in self._keys or (
+        return self._bsrs.has_key(d.slot, d.left, d.right) or (
             d.left == d.right and (d.slot, d.left) in self._starts)
 
     def __len__(self) -> int:
-        return len(self._keys) + len(self._starts)
+        return self._bsrs.nkeys + len(self._starts)
 
     def __iter__(self) -> Iterator[Descriptor]:
         """Ascending by (left, right, slot)."""
-        ds = [Descriptor(slot, l, r) for slot, l, r in self._keys]
+        ds = [Descriptor(*key) for key in self._bsrs.keys()]
         ds.extend(Descriptor(slot, l, l) for slot, l in self._starts)
         ds.sort(key=lambda d: (d.left, d.right, d.slot.sort_key))
         return iter(ds)
@@ -207,7 +244,7 @@ class ParseState:
         self.input = input
         self.grel = ContinuationRelation()
         self.prel = ExtentRelation()
-        self.bsrs = BsrSet()
+        self.bsrs = BsrSet(self.prel)
         # (slot 0, l) of every non-empty alternate started at l.
         self.starts: set[tuple[Slot, int]] = set()
         self.uset = DescriptorView(self.bsrs, self.starts)

@@ -10,6 +10,8 @@ from gllkit.cli import main
 
 from helpers import GRAMMARS
 
+GOLDEN = GRAMMARS.parent / "tests" / "golden"
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -87,6 +89,15 @@ class TestBsr:
         assert len(body) == 14
         assert body == sorted(body) or body[0].startswith("E ::=")
         assert "E ::= 'a' ., 0, 0, 1" in body
+
+    @pytest.mark.parametrize("grammar_file,start,text,golden", [
+        ("e.g", "E", "aa", "e_aa.bsr"), ("dup.g", "D", "aaa", "dup_aaa.bsr")])
+    def test_dump_matches_golden(self, capsys, grammar_file, start, text, golden):
+        """The derived elements, byte for byte as the stored ones were dumped."""
+        code, out, _ = run_cli(capsys, "bsr", "--grammar", g(grammar_file),
+                               "--start", start, "--text", text)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
     def test_empty_input_contains_epsilon_element(self, capsys):
         _, out, _ = run_cli(capsys, "bsr", "--grammar", g("e.g"),

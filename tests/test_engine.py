@@ -1,6 +1,7 @@
 """Engine actions and whole-run behavior, including the hand-derived golden
 trace for the cyclic grammar E: E E E | 'a' | on input "a"."""
 import random
+import tracemalloc
 
 import pytest
 
@@ -179,17 +180,18 @@ class TestActions:
         assert queued_tuples(state) == [("X ::= .", 0, 0)]
 
     def test_descend_reuses_recorded_extents(self):
-        state = ParseState("aa")
-        descend_y(state, 1)
-        c = Commencement(X_SYM.id, 1)
-        state.prel.add(c, 1)
-        state.prel.add(c, 2)
-        descend_z(state, 1)
-        assert bsr_tuples(state) == {("X ::= .", 1, 1, 1), ("Z ::= X .", 0, 1, 1),
-                                     ("Z ::= X .", 0, 1, 2)}
-        assert queued_tuples(state) == [("X ::= .", 1, 1), ("Z ::= X .", 0, 1),
-                                        ("Z ::= X .", 0, 2)]
-        assert descriptor_tuples(state) == set(queued_tuples(state))
+        state = ParseState("")
+        descend_z(state, 0)
+        assert queued_tuples(state) == [("X ::= .", 0, 0)]
+        state.queue.clear()
+        ascend(Commencement(X_SYM.id, 0), 0, state)  # the effect of X ::= . at 0
+        assert queued_tuples(state) == [("Z ::= X .", 0, 0)]
+        state.queue.clear()
+        descend_y(state, 0)  # X at 0 again: its extent 0 is reused
+        assert queued_tuples(state) == [("Y ::= X . X", 0, 0)]
+        assert len(state.bsrs) == 3
+        assert descriptor_tuples(state) == {("X ::= .", 0, 0), ("Z ::= X .", 0, 0),
+                                            ("Y ::= X . X", 0, 0)}
 
     def test_redescend_without_extents_queues_nothing(self):
         state = ParseState("a")
@@ -207,17 +209,26 @@ class TestActions:
         assert len(state.uset) == 0
 
     def test_ascend_applies_each_continuation(self):
-        state = ParseState("a")
+        state = ParseState("")
+        descend_z(state, 0)
+        descend_y(state, 0)  # registered before X at 0 has an extent
+        state.queue.clear()
+        ascend(Commencement(X_SYM.id, 0), 0, state)
+        assert queued_tuples(state) == [("Z ::= X .", 0, 0), ("Y ::= X . X", 0, 0)]
+        assert len(state.bsrs) == 3  # X ::= . and one per continuation
+
+    def test_ascend_with_a_known_extent_does_nothing(self):
+        state = ParseState("")
+        descend_z(state, 0)
         c = Commencement(X_SYM.id, 0)
-        state.grel.add(c, ContinuationId(Y_PLAN.slots[1], 0), (Y_PLAN, 1, 0))
-        state.grel.add(c, ContinuationId(Z_PLAN.slots[1], 0), (Z_PLAN, 1, 0))
-        ascend(c, 1, state)
-        want = {("Y ::= X . X", 0, 1), ("Z ::= X .", 0, 1)}
-        assert bsr_tuples(state) == {("Y ::= X . X", 0, 0, 1), ("Z ::= X .", 0, 0, 1)}
-        assert set(queued_tuples(state)) == want and len(state.queue) == 2
-        assert descriptor_tuples(state) == want
-        ascend(c, 1, state)  # same forest keys again: nothing new to process
-        assert len(state.bsrs) == 2 and len(state.queue) == 2
+        ascend(c, 0, state)
+        queued, made = list(state.queue), len(state.bsrs)
+        descend_y(state, 0)  # applied to the known extent here, by descend
+        assert len(state.queue) == len(queued) + 1
+        queued, made = list(state.queue), len(state.bsrs)
+        ascend(c, 0, state)
+        assert list(state.queue) == queued and len(state.bsrs) == made
+        assert len(state.prel) == 1
 
 
 class TestBudgets:
@@ -335,10 +346,18 @@ def assert_uset_is_forest_keys_plus_slot_zero(state):
     slot 0 or is an empty alternate's slot 0, and every start is a non-empty
     alternate's slot 0, so the two parts of uset are disjoint and its length
     counts each descriptor once."""
-    assert all(b.slot.pre or not b.slot.post for b in state.bsrs)
+    assert all(slot.pre or not slot.post for slot, _, _ in state.bsrs.keys())
     assert all(not slot.pre and slot.post for slot, _ in state.starts)
     listed = list(state.uset)
     assert len(set(listed)) == len(listed) == len(state.uset)
+
+
+def assert_each_element_made_once(state):
+    """len(bsrs) counts the elements as the engine makes them; the listing
+    derives them from the keys of the drained run. They agree only if no
+    element is made twice and none is derived without being made."""
+    listed = list(state.bsrs)
+    assert len(set(listed)) == len(listed) == len(state.bsrs)
 
 
 class TestDescriptorGate:
@@ -349,6 +368,14 @@ class TestDescriptorGate:
                                instantiation_budget=budget, **kwargs)
             assert_uset_is_forest_keys_plus_slot_zero(state)
 
+    @pytest.mark.parametrize("kwargs", SCHEDULES, ids=["fifo", "lifo", "reversed"])
+    def test_each_element_made_once_on_fixed_runs(self, kwargs):
+        for grammar_file, start, text, budget, _ in PINNED_WORK:
+            if budget is None:  # a tripped run can be read for its length alone
+                state = run_recognize(fresh_start(grammar_file, start), text,
+                                      **kwargs)[1]
+                assert_each_element_made_once(state)
+
     def test_uset_matches_forest_keys_on_random_grammars(self):
         rng = random.Random(4242)
         for _ in range(60):
@@ -358,8 +385,24 @@ class TestDescriptorGate:
                 text = random_input(rng)
                 for kwargs in SCHEDULES:
                     sym = Elaborator(ast).start_symbol(start)
-                    assert_uset_is_forest_keys_plus_slot_zero(
-                        run_recognize(sym, text, **kwargs)[1])
+                    state = run_recognize(sym, text, **kwargs)[1]
+                    assert_uset_is_forest_keys_plus_slot_zero(state)
+                    assert_each_element_made_once(state)
+
+
+class TestMemory:
+    def test_recognition_peak_is_small(self):
+        """The forest is stored as its keys: E on a^60 makes 81,434 elements
+        under 5,794 keys, and recognition must not hold a copy of each."""
+        sym = fresh_start("e.g", "E")
+        tracemalloc.start()
+        try:
+            _, state = run_recognize(sym, "a" * 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.stats.descriptors_processed == 5916
+        assert peak < 3 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 class TestTokenSymbols:

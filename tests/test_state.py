@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from gllkit.core import (
     Applied,
-    BSRElement,
     Commencement,
     ContinuationId,
     Descriptor,
@@ -71,21 +70,24 @@ class TestContinuationRelation:
         c = Commencement(E, 0)
         cid = ContinuationId(S1, 0)
         cont = object()
-        state.grel.add(c, cid, cont)
-        assert state.grel.continuations_for(c) == [(cid, cont)]
+        assert state.grel.add(c, cid, cont)
+        assert list(state.grel.continuations(c)) == [cont]
+        assert state.grel.snapshot() == {(c, cid)}
 
     def test_unseen_commencement_is_empty(self):
-        assert fresh().grel.continuations_for(Commencement(E, 0)) == []
+        grel = fresh().grel
+        assert list(grel.continuations(Commencement(E, 0))) == []
+        assert grel.snapshot() == frozenset()
 
     def test_two_cids_under_one_commencement(self):
         state = fresh()
         c = Commencement(E, 0)
-        state.grel.add(c, ContinuationId(S2, 0), "k2")
-        state.grel.add(c, ContinuationId(S1, 0), "k1")
-        got = state.grel.continuations_for(c)
-        assert len(got) == 2
-        # canonical order: sorted by continuation id
-        assert [cid for cid, _ in got] == [ContinuationId(S1, 0), ContinuationId(S2, 0)]
+        assert state.grel.add(c, ContinuationId(S2, 0), "k2")
+        assert not state.grel.add(c, ContinuationId(S1, 0), "k1")
+        # applied in the order registered
+        assert list(state.grel.continuations(c)) == ["k2", "k1"]
+        assert state.grel.snapshot() == {(c, ContinuationId(S1, 0)),
+                                         (c, ContinuationId(S2, 0))}
 
     def test_first_continuation_wins(self):
         state = fresh()
@@ -93,7 +95,8 @@ class TestContinuationRelation:
         cid = ContinuationId(S1, 0)
         state.grel.add(c, cid, "first")
         state.grel.add(c, cid, "second")
-        assert state.grel.continuations_for(c) == [(cid, "first")]
+        assert list(state.grel.continuations(c)) == ["first"]
+        assert state.grel.snapshot() == {(c, cid)}
 
 
 class TestExtentRelation:
@@ -110,54 +113,79 @@ class TestExtentRelation:
     def test_duplicate_add(self):
         state = fresh()
         c = Commencement(E, 1)
-        state.prel.add(c, 1)
-        state.prel.add(c, 1)
+        assert state.prel.add(c, 1)
+        assert not state.prel.add(c, 1)
         assert state.prel.extents_for(c) == [1]
         assert len(state.prel) == 1
 
+    def test_indexed_both_ways(self):
+        prel = fresh().prel
+        for k, r in ((0, 2), (1, 2), (0, 3), (1, 2)):
+            prel.add(Commencement(E, k), r)
+        assert sorted(prel.lefts(E, 2)) == [0, 1]
+        assert sorted(prel.lefts(E, 3)) == [0]
+        assert sorted(prel.lefts(E, 1)) == []
+        assert sorted(prel.extents(Commencement(E, 0))) == [2, 3]
+        assert len(prel) == 3 == len(prel.snapshot())
 
-def load_forest(state, elements):
-    for b in elements:
-        state.bsrs.add(b)
+
+X = Applied("Expr")
+PLUS = TokenName("'+'")
+
+
+def expr_run(text):
+    """The final state of recognizing text with Expr: Expr '+' Expr | 'a'."""
+    start = Elaborator(load_grammar("expr.g")).start_symbol("Expr")
+    return run_recognize(start, text)[1]
 
 
 class TestBsrSet:
+    """Pivots are derived from the keys and prel of a drained run."""
+
     def test_pivots_ascending(self):
-        state = fresh()
-        load_forest(state, [BSRElement(S3, 0, 1, 1), BSRElement(S3, 0, 0, 1)])
-        assert state.bsrs.pivots(S3, 0, 1) == [0, 1]
+        bsrs = e_run("aa").bsrs
+        assert bsrs.pivots(S3, 0, 2) == [0, 1, 2]
+        assert bsrs.pivots(S2, 0, 2) == [0, 1, 2]
+
+    def test_pivots_after_a_nonterminal_token_and_first_symbol(self):
+        bsrs = expr_run("a+a+a").bsrs
+        assert bsrs.pivots(Slot(X, (X, PLUS, X), ()), 0, 5) == [2, 4]
+        assert bsrs.pivots(Slot(X, (X, PLUS), (X,)), 0, 4) == [3]
+        assert bsrs.pivots(Slot(X, (X,), (PLUS, X)), 0, 3) == [0]
 
     def test_pivots_empty(self):
-        assert fresh().bsrs.pivots(S3, 0, 1) == []
+        """[] for a key the run never made."""
+        state = e_run("aa")
+        assert state.bsrs.pivots(S3, 0, 3) == []
+        assert state.bsrs.pivots(S3, 2, 1) == []
+        assert expr_run("a+a").bsrs.pivots(Slot(X, (X, PLUS, X), ()), 0, 2) == []
 
     def test_single_pivot(self):
-        state = fresh()
-        load_forest(state, [BSRElement(S1, 0, 0, 0)])
-        assert state.bsrs.pivots(S1, 0, 0) == [0]
+        """An empty alternate's element has its one pivot at its extent."""
+        bsrs = e_run("aa").bsrs
+        for l in range(3):
+            assert bsrs.pivots(Slot(E, (), ()), l, l) == [l]
 
     def test_idempotent_count(self):
-        state = fresh()
-        load_forest(state, [BSRElement(S1, 0, 0, 1)] * 3)
-        assert len(state.bsrs) == 1
+        """D: 'a' D | 'a' D | | has two copies of each alternate; every element
+        is still made and counted once."""
+        state = run_recognize(Elaborator(load_grammar("dup.g")).start_symbol("D"),
+                              "aaa")[1]
+        assert len(state.bsrs) == len(state.bsrs.snapshot()) == 13
 
-    @given(st.lists(st.tuples(st.sampled_from([S1, S2, S3]), st.integers(0, 2),
-                              st.integers(0, 2), st.integers(0, 2)),
-                    max_size=20))
-    def test_lookup_soundness(self, raw):
-        state = fresh()
-        wellformed = [(s, l, k, r) for s, l, k, r in raw if l <= k <= r]
-        for s, l, k, r in wellformed:
-            state.bsrs.add(BSRElement(s, l, k, r))
-        for s, l, k, r in wellformed:
-            assert k in state.bsrs.pivots(s, l, r)
-        assert len(state.bsrs) == len(set(wellformed))
-        assert state.bsrs.snapshot() == {BSRElement(s, l, k, r)
-                                         for s, l, k, r in wellformed}
+    @given(st.text(alphabet="ab", max_size=4))
+    def test_lookup_soundness(self, text):
+        state = e_run(text)
+        listed = list(state.bsrs)
+        for b in listed:
+            assert b.pivot in state.bsrs.pivots(b.slot, b.left, b.right)
+            assert state.bsrs.has_key(b.slot, b.left, b.right)
+        assert len(listed) == len(set(listed)) == len(state.bsrs)
+        assert {(b.slot, b.left, b.right) for b in listed} == set(state.bsrs.keys())
 
     def test_dump_order_is_canonical(self):
-        state = fresh()
-        load_forest(state, [BSRElement(S3, 0, 1, 1), BSRElement(S1, 1, 1, 1),
-                            BSRElement(S1, 0, 0, 0), BSRElement(S3, 0, 0, 1)])
+        state = e_run("aa")
         dumped = state.bsrs.sorted_elements()
         assert dumped == sorted(dumped, key=bsr_sort_key)
-        assert len(dumped) == 4
+        assert len(dumped) == len(set(dumped)) == len(state.bsrs) == 31
+        assert set(dumped) == state.bsrs.snapshot()
