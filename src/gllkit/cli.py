@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import Applied, SymbolId, render_slot
@@ -24,27 +23,11 @@ from .state import ParseState, ResourceExhausted
 DEFAULT_FUEL = 10 ** 7
 
 
-@dataclass
-class RunConfig:
-    grammar: str
-    start: str
-    mode: str = "char"
-    text: Optional[str] = None
-    input: Optional[str] = None
-    stdin: bool = False
-    fuel: int = DEFAULT_FUEL
-    errors: int = 3
-    max_trees: int = 10
-    format: str = "text"
-    deterministic: bool = False
-    oracle: bool = False
-
-
 class CliError(Exception):
     pass
 
 
-def _read_input(cfg: RunConfig) -> str:
+def _read_input(cfg: argparse.Namespace) -> str:
     sources = [cfg.text is not None, cfg.input is not None, cfg.stdin]
     if sum(sources) != 1:
         raise CliError("exactly one of --text, --input, --stdin is required")
@@ -59,11 +42,11 @@ def _read_input(cfg: RunConfig) -> str:
     return sys.stdin.read()
 
 
-def _tokens(cfg: RunConfig, text: str):
+def _tokens(cfg: argparse.Namespace, text: str):
     return text.split() if cfg.mode == "words" else text
 
 
-def _load(cfg: RunConfig):
+def _load(cfg: argparse.Namespace):
     try:
         with open(cfg.grammar, "r") as f:
             grammar_text = f.read()
@@ -78,13 +61,13 @@ def _load(cfg: RunConfig):
     return elab, start
 
 
-def _budgets(cfg: RunConfig):
+def _budgets(cfg: argparse.Namespace):
     fuel = None if cfg.fuel == 0 else cfg.fuel
     inst = None if fuel is None else max(1, fuel // 100)
     return fuel, inst
 
 
-def _run(cfg: RunConfig, start, tokens) -> tuple[bool, ParseState]:
+def _run(cfg: argparse.Namespace, start, tokens) -> tuple[bool, ParseState]:
     fuel, inst = _budgets(cfg)
     return run_recognize(start, tokens, fuel=fuel, instantiation_budget=inst)
 
@@ -100,7 +83,7 @@ def _error_json(report) -> dict:
             "got": report.got}
 
 
-def _print_reject(cfg: RunConfig, state: ParseState) -> None:
+def _print_reject(cfg: argparse.Namespace, state: ParseState) -> None:
     reports = extract_errors(state, cfg.errors, accepted=False)
     if cfg.format == "json":
         print(json.dumps({"result": "reject",
@@ -112,7 +95,7 @@ def _print_reject(cfg: RunConfig, state: ParseState) -> None:
         print(f"at {r.position}: expected {r.expected[0]}, got {got}")
 
 
-def cmd_recognize(cfg: RunConfig) -> int:
+def cmd_recognize(cfg: argparse.Namespace) -> int:
     elab, start = _load(cfg)
     tokens = _tokens(cfg, _read_input(cfg))
     accepted, state = _run(cfg, start, tokens)
@@ -127,7 +110,7 @@ def cmd_recognize(cfg: RunConfig) -> int:
     return 1
 
 
-def cmd_bsr(cfg: RunConfig) -> int:
+def cmd_bsr(cfg: argparse.Namespace) -> int:
     _elab, start = _load(cfg)
     tokens = _tokens(cfg, _read_input(cfg))
     accepted, state = _run(cfg, start, tokens)
@@ -148,7 +131,7 @@ def cmd_bsr(cfg: RunConfig) -> int:
     return 0 if accepted else 1
 
 
-def cmd_parse(cfg: RunConfig) -> int:
+def cmd_parse(cfg: argparse.Namespace) -> int:
     elab, start = _load(cfg)
     tokens = _tokens(cfg, _read_input(cfg))
     accepted, state = _run(cfg, start, tokens)
@@ -173,7 +156,7 @@ def cmd_parse(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_count(cfg: RunConfig) -> int:
+def cmd_count(cfg: argparse.Namespace) -> int:
     _elab, start = _load(cfg)
     tokens = _tokens(cfg, _read_input(cfg))
     accepted, state = _run(cfg, start, tokens)
@@ -189,7 +172,7 @@ def cmd_count(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_stats(cfg: RunConfig) -> int:
+def cmd_stats(cfg: argparse.Namespace) -> int:
     _elab, start = _load(cfg)
     tokens = _tokens(cfg, _read_input(cfg))
     t0 = time.perf_counter()
@@ -217,11 +200,11 @@ def cmd_stats(cfg: RunConfig) -> int:
     return 0 if accepted else 1
 
 
-def cmd_bench(cfg: RunConfig, sizes: list[int], char: str) -> int:
+def cmd_bench(cfg: argparse.Namespace) -> int:
     _elab, start = _load(cfg)
     rows = []
-    for size in sizes:
-        text = char * size
+    for size in cfg.sizes:
+        text = cfg.bench_char * size
         tokens = _tokens(cfg, text)
         t0 = time.perf_counter()
         accepted, _state = _run(cfg, start, tokens)
@@ -237,6 +220,14 @@ def cmd_bench(cfg: RunConfig, sizes: list[int], char: str) -> int:
     return 0
 
 
+def natural(text: str) -> int:
+    """argparse type of counts and budgets: an int, at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--grammar", required=True, help="grammar file path")
@@ -247,11 +238,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     src.add_argument("--text", help="input given directly on the command line")
     src.add_argument("--input", help="input file path")
     src.add_argument("--stdin", action="store_true", help="read input from stdin")
-    shared.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+    shared.add_argument("--fuel", type=natural, default=DEFAULT_FUEL,
                         help="descriptor budget, 0 = unlimited")
-    shared.add_argument("--errors", type=int, default=3,
+    shared.add_argument("--errors", type=natural, default=3,
                         help="max error reports on reject")
-    shared.add_argument("--max-trees", type=int, default=10)
+    shared.add_argument("--max-trees", type=natural, default=10)
     shared.add_argument("--format", choices=("text", "json"), default="text")
     shared.add_argument("--deterministic", action="store_true",
                         help="suppress timing output")
@@ -264,38 +255,27 @@ def build_arg_parser() -> argparse.ArgumentParser:
     for name in ("recognize", "bsr", "parse", "count", "stats"):
         sub.add_parser(name, parents=[shared])
     bench = sub.add_parser("bench", parents=[shared])
-    bench.add_argument("--sizes", type=int, nargs="+", required=True)
+    bench.add_argument("--sizes", type=natural, nargs="+", required=True)
     bench.add_argument("--bench-char", default="a",
                        help="character replicated to build each input")
     return parser
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(grammar=ns.grammar, start=ns.start, mode=ns.mode,
-                     text=ns.text, input=ns.input, stdin=ns.stdin,
-                     fuel=ns.fuel, errors=ns.errors, max_trees=ns.max_trees,
-                     format=ns.format, deterministic=ns.deterministic,
-                     oracle=ns.oracle)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     ns = build_arg_parser().parse_args(argv)
-    cfg = _config(ns)
     try:
         if ns.command == "recognize":
-            return cmd_recognize(cfg)
+            return cmd_recognize(ns)
         if ns.command == "bsr":
-            return cmd_bsr(cfg)
+            return cmd_bsr(ns)
         if ns.command == "parse":
-            return cmd_parse(cfg)
+            return cmd_parse(ns)
         if ns.command == "count":
-            return cmd_count(cfg)
+            return cmd_count(ns)
         if ns.command == "stats":
-            return cmd_stats(cfg)
+            return cmd_stats(ns)
         if ns.command == "bench":
-            if cfg.text is None and cfg.input is None and not cfg.stdin:
-                cfg.text = ""  # bench builds its own inputs
-            return cmd_bench(cfg, ns.sizes, ns.bench_char)
+            return cmd_bench(ns)
         raise CliError(f"unknown command {ns.command!r}")
     except (CliError, ResourceExhausted) as e:
         print(f"error: {e}", file=sys.stderr)

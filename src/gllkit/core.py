@@ -12,17 +12,10 @@ from typing import NamedTuple
 class SymbolId:
     """Structural name of a grammar symbol (a token name or an application)."""
 
-    __slots__ = ("name", "args", "sort_key", "_rendered")
+    __slots__ = ("name", "args", "_rendered")
 
     name: str
     args: tuple["SymbolId", ...]
-
-    def __lt__(self, other: "SymbolId") -> bool:
-        return self.sort_key < other.sort_key
-
-    @property
-    def is_token(self) -> bool:
-        return isinstance(self, TokenName)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({render_id(self)})"
@@ -45,7 +38,6 @@ class TokenName(SymbolId):
         self = object.__new__(cls)
         self.name = name
         self.args = ()
-        self.sort_key = (0, name)
         self._rendered = name if name.startswith("'") else "%" + name
         _TOKEN_INTERN[key] = self
         return self
@@ -65,7 +57,6 @@ class Applied(SymbolId):
         self = object.__new__(cls)
         self.name = name
         self.args = args
-        self.sort_key = (1, name, tuple(a.sort_key for a in args))
         self._rendered = None
         _APPLIED_INTERN[key] = self
         return self
@@ -87,7 +78,7 @@ def render_id(sid: SymbolId) -> str:
 class Slot:
     """A grammar position: one alternate of `lhs` with a dot splitting pre/post."""
 
-    __slots__ = ("lhs", "pre", "post", "sort_key", "_rendered")
+    __slots__ = ("lhs", "pre", "post", "_rendered")
 
     lhs: SymbolId
     pre: tuple[SymbolId, ...]
@@ -104,14 +95,9 @@ class Slot:
         self.lhs = lhs
         self.pre = pre
         self.post = post
-        self.sort_key = (lhs.sort_key, tuple(s.sort_key for s in pre),
-                         tuple(s.sort_key for s in post))
         self._rendered = None
         _SLOT_INTERN[key] = self
         return self
-
-    def __lt__(self, other: "Slot") -> bool:
-        return self.sort_key < other.sort_key
 
     def __repr__(self) -> str:
         return f"Slot({render_slot(self)})"
@@ -161,7 +147,8 @@ class Commencement(NamedTuple):
 
 
 class ContinuationId(NamedTuple):
-    """A descriptor with a hole for its right extent; names a stored continuation."""
+    """Listing form of a continuation (plan, i, l): the descriptor
+    (plan.slots[i], l, _) with a hole for its right extent."""
 
     slot: Slot
     left: int

@@ -1,10 +1,11 @@
 """The generalized-LL engine: descend, ascend and continue actions.
 
-Symbols carry an identifier plus a matcher; nonterminal symbols own a list of
-alternate plans (symbol sequence, slot chain, semantic action). Effects are
-driven through an explicit work queue rather than native recursion, so deeply
-cascading descriptor chains cannot overflow the call stack. FIFO is the
-default schedule; order independence of the final state licenses any other.
+Token symbols carry an identifier plus a token pattern; nonterminal symbols
+own a list of alternate plans (symbol sequence, slot chain, semantic action).
+Effects are driven through an explicit work queue rather than native
+recursion, so deeply cascading descriptor chains cannot overflow the call
+stack. FIFO is the default schedule; order independence of the final state
+licenses any other.
 """
 from __future__ import annotations
 
@@ -13,11 +14,9 @@ from typing import Callable, Iterable, Optional, Sequence
 from .core import (
     Applied,
     Commencement,
-    ContinuationId,
     Slot,
     SymbolId,
     TokenName,
-    slot_retreat,
 )
 from .state import ParseState, ResourceExhausted
 
@@ -63,18 +62,11 @@ class AltPlan:
 
 
 class Symbol:
-    """A grammar symbol: identifier plus matching and evaluation behavior."""
+    """A grammar symbol: a Token or a Nonterminal, named by its identifier."""
 
     __slots__ = ("id",)
 
     id: SymbolId
-
-    @property
-    def is_token(self) -> bool:
-        return isinstance(self, Token)
-
-    def match(self, state: ParseState, l: int, cid: ContinuationId, cont) -> None:
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.id!r})"
@@ -86,13 +78,6 @@ class Token(Symbol):
     def __init__(self, pattern: TokenPattern):
         self.id = TokenName(pattern.name)
         self.pattern = pattern
-
-    def match(self, state: ParseState, l: int, cid: ContinuationId, cont) -> None:
-        inp = state.input
-        if l < len(inp) and self.pattern.classifier(inp[l]) is not None:
-            _apply_conts(state, (cont,), l + 1)
-        else:
-            state.failures.record(l, slot_retreat(cid.slot))
 
 
 class Nonterminal(Symbol):
@@ -118,9 +103,6 @@ class Nonterminal(Symbol):
             self._plans = tuple(self._thunk())
             self._thunk = None
         return self._plans
-
-    def match(self, state: ParseState, l: int, cid: ContinuationId, cont) -> None:
-        descend(self, l, cid, cont, state)
 
 
 def token_symbol(pattern: TokenPattern) -> Token:
@@ -154,7 +136,10 @@ def lazy_nonterminal(sid: SymbolId, thunk: Callable[[], Iterable[AltPlan]]) -> N
 # and queues the advanced descriptor. None is the inert continuation used
 # above the start symbol. A continuation is applied to each extent of its
 # commencement once: by descend to those found before it was registered, by
-# ascend to those found after. So every element is made once.
+# ascend to those found after. So every element is made once. It is also
+# registered once: _act registers (plan, i+1, l) on (X, r) only while
+# processing descriptor (plan.slots[i], l, r), which is queued once, so grel
+# keeps plain lists.
 #
 # Every descriptor is queued once. One after slot 0 is made together with a
 # BSR element of the same (slot, l, r), so it is new exactly when that forest
@@ -216,15 +201,14 @@ def _act(state: ParseState, plan: AltPlan, i: int, l: int, r: int) -> None:
         else:
             state.failures.record(r, plan.slots[i])
     else:
-        sym.match(state, r, ContinuationId(plan.slots[i + 1], l), (plan, i + 1, l))
+        descend(sym, r, (plan, i + 1, l), state)
 
 
-def descend(sym: Nonterminal, l: int, cid: ContinuationId, cont,
-            state: ParseState) -> None:
+def descend(sym: Nonterminal, l: int, cont, state: ParseState) -> None:
     """Register the continuation; start sym's alternates at a new commencement,
     else apply the continuation to the extents found so far."""
     c = Commencement(sym.id, l)
-    if state.grel.add(c, cid, cont):
+    if state.grel.add(c, cont):
         _alternates(state, sym, l)
     else:
         for r in state.prel.extents(c):
@@ -262,19 +246,20 @@ def _start_parse(s: Symbol, input, fuel: Optional[int], lifo: bool,
     state = ParseState(input, fuel=fuel, lifo=lifo,
                        reverse_alternates=reverse_alternates,
                        instantiation_budget=instantiation_budget)
-    start_plan = AltPlan(START_ID, (s,))
-    cid = ContinuationId(start_plan.slots[1], 0)
-    # A token start must record its match somewhere visible; a nonterminal
-    # start is read off prel directly, so its continuation is inert and the
-    # forest stays free of artificial-start elements.
-    cont = (start_plan, 1, 0) if s.is_token else None
-    s.match(state, 0, cid, cont)
+    # A token start acts as the descriptor __START ::= . s at 0 (not queued,
+    # so not counted), so its match ends up in prel; a nonterminal start is
+    # read off prel directly, so its continuation is inert and the forest
+    # stays free of artificial-start elements.
+    if type(s) is Token:
+        _act(state, AltPlan(START_ID, (s,)), 0, 0, 0)
+    else:
+        descend(s, 0, None, state)
     _drive(state)
     return state
 
 
 def _accept_commencement(s: Symbol) -> Commencement:
-    return Commencement(START_ID if s.is_token else s.id, 0)
+    return Commencement(START_ID if type(s) is Token else s.id, 0)
 
 
 def run_recognize(s: Symbol, input, fuel: Optional[int] = None, lifo: bool = False,

@@ -20,6 +20,7 @@ from .core import (
     SymbolId,
     TokenName,
     bsr_sort_key,
+    render_slot,
     slot_retreat,
 )
 
@@ -34,32 +35,40 @@ class ResourceExhausted(Exception):
 
 
 class ContinuationRelation:
-    """grel: commencement -> continuation id -> continuation (plan, i, l)."""
+    """grel: commencement -> the continuations (plan, i, l) waiting on it, each
+    registered once, plus their number; None is the inert continuation above
+    the start."""
 
-    __slots__ = ("_grel",)
+    __slots__ = ("_grel", "size")
 
     def __init__(self) -> None:
-        self._grel: dict[Commencement, dict[ContinuationId, object]] = {}
+        self._grel: dict[Commencement, list] = {}
+        self.size = 0
 
-    def add(self, c: Commencement, cid: ContinuationId, cont) -> bool:
-        """Record (c, cid); the first continuation stored for a cid wins.
-        True iff c is a new commencement."""
+    def add(self, c: Commencement, cont) -> bool:
+        """Register cont on c; True iff c is a new commencement."""
+        self.size += 1
         conts = self._grel.get(c)
         if conts is None:
-            self._grel[c] = {cid: cont}
+            self._grel[c] = [cont]
             return True
-        conts.setdefault(cid, cont)
+        conts.append(cont)
         return False
 
     def continuations(self, c: Commencement):
-        """The continuations waiting on c, in insertion order (hot path)."""
-        conts = self._grel.get(c)
-        return conts.values() if conts else ()
+        """The continuations waiting on c, in registration order (hot path)."""
+        return self._grel.get(c, ())
 
-    def pairs(self) -> Iterator[tuple[Commencement, ContinuationId]]:
-        for c in self._grel:
-            for cid in self._grel[c]:
-                yield (c, cid)
+    def pairs(self) -> Iterator[tuple[Commencement, Optional[ContinuationId]]]:
+        """(c, id) per registration; the id of (plan, i, l) is
+        (plan.slots[i], l), None for the inert continuation."""
+        for c, conts in self._grel.items():
+            for cont in conts:
+                yield (c, None if cont is None
+                       else ContinuationId(cont[0].slots[cont[1]], cont[2]))
+
+    def __len__(self) -> int:
+        return self.size
 
     def snapshot(self) -> frozenset:
         """Contents as comparable data, for order-independence checks."""
@@ -201,10 +210,10 @@ class DescriptorView:
         return self._bsrs.nkeys + len(self._starts)
 
     def __iter__(self) -> Iterator[Descriptor]:
-        """Ascending by (left, right, slot)."""
+        """Ascending by (left, right, rendered slot)."""
         ds = [Descriptor(*key) for key in self._bsrs.keys()]
         ds.extend(Descriptor(slot, l, l) for slot, l in self._starts)
-        ds.sort(key=lambda d: (d.left, d.right, d.slot.sort_key))
+        ds.sort(key=lambda d: (d.left, d.right, render_slot(d.slot)))
         return iter(ds)
 
 

@@ -226,6 +226,41 @@ class TestBench:
         assert out == "size 3: accept\n"
 
 
+def usage_error(capsys, *args):
+    """The exit code and the last stderr line of a command argparse rejects."""
+    with pytest.raises(SystemExit) as stop:
+        main(list(args))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return stop.value.code, captured.err.splitlines()[-1]
+
+
+class TestNegativeCounts:
+    """Counts and budgets below 0 are usage errors, caught before any run."""
+
+    def test_negative_fuel(self, capsys):
+        code, err = usage_error(capsys, "recognize", "--grammar", g("e.g"),
+                                "--start", "E", "--text", "a", "--fuel", "-1")
+        assert code == 2 and err.endswith("argument --fuel: must not be negative: -1")
+
+    def test_negative_errors(self, capsys):
+        code, err = usage_error(capsys, "recognize", "--grammar", g("csv.g"),
+                                "--start", "CSV(alpha)", "--text", "a,!",
+                                "--errors", "-1")
+        assert code == 2 and err.endswith("argument --errors: must not be negative: -1")
+
+    def test_negative_max_trees(self, capsys):
+        code, err = usage_error(capsys, "parse", "--grammar", g("e.g"),
+                                "--start", "E", "--text", "aa", "--max-trees", "-1")
+        assert code == 2
+        assert err.endswith("argument --max-trees: must not be negative: -1")
+
+    def test_negative_size(self, capsys):
+        code, err = usage_error(capsys, "bench", "--grammar", g("e.g"),
+                                "--start", "E", "--sizes", "1", "-2")
+        assert code == 2 and err.endswith("argument --sizes: must not be negative: -2")
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):
         args = ("parse", "--grammar", g("expr.g"), "--start", "Expr",

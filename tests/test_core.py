@@ -1,4 +1,4 @@
-"""Identifier and slot behavior: interning, ordering, advancing, rendering."""
+"""Identifier and slot behavior: interning, advancing, rendering."""
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -43,18 +43,6 @@ class TestSymbolIds:
         assert render_id(TokenName("X")) != render_id(Applied("X"))
         inner = Applied("Seq", (TokenName("'a'"), TokenName("'b'")))
         assert render_id(Applied("F", (inner,))) == "F(Seq('a','b'))"
-
-    @given(sym_ids(), sym_ids())
-    def test_order_is_total(self, x, y):
-        if x == y:
-            assert not (x < y) and not (y < x)
-        else:
-            assert (x < y) != (y < x)
-
-    @given(sym_ids(), sym_ids(), sym_ids())
-    def test_order_is_transitive(self, x, y, z):
-        if x < y and y < z:
-            assert x < z
 
 
 E = Applied("E")

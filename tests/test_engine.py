@@ -8,13 +8,13 @@ import pytest
 from gllkit.core import (
     Applied,
     Commencement,
-    ContinuationId,
     Descriptor,
     Slot,
     TokenName,
     render_slot,
 )
 from gllkit.engine import (
+    START_ID,
     AltPlan,
     Nonterminal,
     ascend,
@@ -162,19 +162,19 @@ def queued_tuples(state):
 
 def descend_z(state, l):
     """Descend into X at l on behalf of Z: X."""
-    descend(X_SYM, l, ContinuationId(Z_PLAN.slots[1], 0), (Z_PLAN, 1, 0), state)
+    descend(X_SYM, l, (Z_PLAN, 1, 0), state)
 
 
 def descend_y(state, l):
     """Descend into X at l on behalf of Y: X X."""
-    descend(X_SYM, l, ContinuationId(Y_PLAN.slots[1], 0), (Y_PLAN, 1, 0), state)
+    descend(X_SYM, l, (Y_PLAN, 1, 0), state)
 
 
 class TestActions:
     def test_descend_first_time_runs_alternates(self):
         state = ParseState("a")
         descend_z(state, 0)
-        assert len(list(state.grel.pairs())) == 1
+        assert len(state.grel) == 1
         # X's one alternate is empty: its slot 0 is also a forest key
         assert bsr_tuples(state) == {("X ::= .", 0, 0, 0)}
         assert queued_tuples(state) == [("X ::= .", 0, 0)]
@@ -197,7 +197,7 @@ class TestActions:
         state = ParseState("a")
         descend_z(state, 0)
         descend_y(state, 0)
-        assert len(list(state.grel.pairs())) == 2
+        assert len(state.grel) == 2
         assert queued_tuples(state) == [("X ::= .", 0, 0)]
         assert len(state.bsrs) == 1
 
@@ -319,7 +319,7 @@ SCHEDULES = ({}, {"lifo": True}, {"reverse_alternates": True})
 
 def work_of(state):
     return (state.stats.descriptors_processed, len(state.uset), len(state.bsrs),
-            len(state.prel), sum(1 for _ in state.grel.pairs()),
+            len(state.prel), len(state.grel),
             state.stats.instantiations)
 
 
@@ -360,6 +360,14 @@ def assert_each_element_made_once(state):
     assert len(set(listed)) == len(listed) == len(state.bsrs)
 
 
+def assert_each_continuation_registered_once(state):
+    """grel keeps a list, not a set, of the continuations waiting on each
+    commencement; that is sound only if no (commencement, continuation id)
+    is registered twice."""
+    pairs = list(state.grel.pairs())
+    assert len(set(pairs)) == len(pairs) == len(state.grel)
+
+
 class TestDescriptorGate:
     @pytest.mark.parametrize("kwargs", SCHEDULES, ids=["fifo", "lifo", "reversed"])
     def test_uset_matches_forest_keys_on_fixed_runs(self, kwargs):
@@ -376,6 +384,13 @@ class TestDescriptorGate:
                                       **kwargs)[1]
                 assert_each_element_made_once(state)
 
+    @pytest.mark.parametrize("kwargs", SCHEDULES, ids=["fifo", "lifo", "reversed"])
+    def test_each_continuation_registered_once_on_fixed_runs(self, kwargs):
+        for grammar_file, start, text, budget, _ in PINNED_WORK:
+            state = run_to_end(fresh_start(grammar_file, start), text,
+                               instantiation_budget=budget, **kwargs)
+            assert_each_continuation_registered_once(state)
+
     def test_uset_matches_forest_keys_on_random_grammars(self):
         rng = random.Random(4242)
         for _ in range(60):
@@ -388,6 +403,7 @@ class TestDescriptorGate:
                     state = run_recognize(sym, text, **kwargs)[1]
                     assert_uset_is_forest_keys_plus_slot_zero(state)
                     assert_each_element_made_once(state)
+                    assert_each_continuation_registered_once(state)
 
 
 class TestMemory:
@@ -417,3 +433,18 @@ class TestTokenSymbols:
     def test_empty_input_fails(self):
         accepted, _ = run_recognize(char_token("a"), "")
         assert not accepted
+
+    def test_token_start_acts_as_the_start_descriptor(self):
+        """A token start s is matched as __START ::= . s at 0: on a match it
+        makes one element and queues one descriptor, else it records the
+        failure at that slot."""
+        a = char_token("a")
+        start_slot = Slot(START_ID, (), (a.id,))
+        accepted, state = run_recognize(a, "a")
+        assert accepted
+        assert bsr_tuples(state) == {("__START ::= 'a' .", 0, 0, 1)}
+        assert state.stats.descriptors_processed == 1 == len(state.uset)
+        assert len(state.grel) == 0
+        accepted, state = run_recognize(a, "b")
+        assert not accepted and len(state.bsrs) == 0
+        assert (state.failures.position, state.failures.slots) == (0, {start_slot})

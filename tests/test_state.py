@@ -9,9 +9,10 @@ from gllkit.core import (
     Slot,
     TokenName,
     bsr_sort_key,
+    render_slot,
 )
 from gllkit.dsl import Elaborator
-from gllkit.engine import run_recognize
+from gllkit.engine import AltPlan, nonterminal_symbol, run_recognize
 from gllkit.state import ParseState
 
 from helpers import load_grammar
@@ -22,6 +23,8 @@ S0 = Slot(E, (), (E, E, E))
 S1 = Slot(E, (E,), (E, E))
 S2 = Slot(E, (E, E), (E,))
 S3 = Slot(E, (E, E, E), ())
+E_SYM = nonterminal_symbol("E", (), [((),)])
+PLAN = AltPlan(E, (E_SYM, E_SYM, E_SYM))  # E ::= E E E, slots S0..S3
 
 
 def fresh(n=4):
@@ -52,8 +55,11 @@ class TestDescriptorSet:
         assert len(state.uset) == state.stats.descriptors_processed
 
     def test_iteration_is_sorted(self):
-        listed = list(e_run("aa").uset)
-        assert listed == sorted(listed, key=lambda d: (d.left, d.right, d.slot.sort_key))
+        """By (left, right, rendered slot): the rendered text is the one order."""
+        listed = [(d.left, d.right, render_slot(d.slot)) for d in e_run("aa").uset]
+        assert listed == sorted(listed)
+        assert listed[:3] == [(0, 0, "E ::= ."), (0, 0, "E ::= . 'a'"),
+                              (0, 0, "E ::= . E E E")]
 
     @given(st.text(alphabet="ab", max_size=4))
     def test_size_matches_distinct_inserts(self, text):
@@ -65,38 +71,40 @@ class TestDescriptorSet:
 
 
 class TestContinuationRelation:
+    """grel holds continuations (plan, i, l); (plan.slots[i], l) is their id."""
+
     def test_single_pair(self):
         state = fresh()
         c = Commencement(E, 0)
-        cid = ContinuationId(S1, 0)
-        cont = object()
-        assert state.grel.add(c, cid, cont)
+        cont = (PLAN, 1, 0)
+        assert state.grel.add(c, cont)
         assert list(state.grel.continuations(c)) == [cont]
-        assert state.grel.snapshot() == {(c, cid)}
+        assert state.grel.snapshot() == {(c, ContinuationId(S1, 0))}
+        assert len(state.grel) == 1
 
     def test_unseen_commencement_is_empty(self):
         grel = fresh().grel
         assert list(grel.continuations(Commencement(E, 0))) == []
         assert grel.snapshot() == frozenset()
+        assert len(grel) == 0
 
     def test_two_cids_under_one_commencement(self):
         state = fresh()
         c = Commencement(E, 0)
-        assert state.grel.add(c, ContinuationId(S2, 0), "k2")
-        assert not state.grel.add(c, ContinuationId(S1, 0), "k1")
+        assert state.grel.add(c, (PLAN, 2, 0))
+        assert not state.grel.add(c, (PLAN, 1, 0))
         # applied in the order registered
-        assert list(state.grel.continuations(c)) == ["k2", "k1"]
+        assert list(state.grel.continuations(c)) == [(PLAN, 2, 0), (PLAN, 1, 0)]
         assert state.grel.snapshot() == {(c, ContinuationId(S1, 0)),
                                          (c, ContinuationId(S2, 0))}
+        assert len(state.grel) == 2
 
-    def test_first_continuation_wins(self):
+    def test_inert_continuation_has_no_id(self):
         state = fresh()
         c = Commencement(E, 0)
-        cid = ContinuationId(S1, 0)
-        state.grel.add(c, cid, "first")
-        state.grel.add(c, cid, "second")
-        assert list(state.grel.continuations(c)) == ["first"]
-        assert state.grel.snapshot() == {(c, cid)}
+        assert state.grel.add(c, None)
+        assert list(state.grel.continuations(c)) == [None]
+        assert state.grel.snapshot() == {(c, None)}
 
 
 class TestExtentRelation:
