@@ -204,8 +204,8 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
     _elab, start = _load(cfg)
     rows = []
     for size in cfg.sizes:
-        text = cfg.bench_char * size
-        tokens = _tokens(cfg, text)
+        tokens = ([cfg.bench_char] * size if cfg.mode == "words"
+                  else cfg.bench_char * size)
         t0 = time.perf_counter()
         accepted, _state = _run(cfg, start, tokens)
         elapsed = time.perf_counter() - t0
@@ -229,35 +229,43 @@ def natural(text: str) -> int:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """Each command accepts only the options it reads; any other is a usage
+    error."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--grammar", required=True, help="grammar file path")
     shared.add_argument("--start", required=True,
                         help="start symbol reference, e.g. CSV(alpha)")
     shared.add_argument("--mode", choices=("char", "words"), default="char")
-    src = shared.add_mutually_exclusive_group()
-    src.add_argument("--text", help="input given directly on the command line")
-    src.add_argument("--input", help="input file path")
-    src.add_argument("--stdin", action="store_true", help="read input from stdin")
     shared.add_argument("--fuel", type=natural, default=DEFAULT_FUEL,
                         help="descriptor budget, 0 = unlimited")
-    shared.add_argument("--errors", type=natural, default=3,
-                        help="max error reports on reject")
-    shared.add_argument("--max-trees", type=natural, default=10)
     shared.add_argument("--format", choices=("text", "json"), default="text")
     shared.add_argument("--deterministic", action="store_true",
                         help="suppress timing output")
-    shared.add_argument("--oracle", action="store_true",
-                        help="cross-check against the naive recognizer")
+    source = argparse.ArgumentParser(add_help=False)
+    src = source.add_mutually_exclusive_group()
+    src.add_argument("--text", help="input given directly on the command line")
+    src.add_argument("--input", help="input file path")
+    src.add_argument("--stdin", action="store_true", help="read input from stdin")
+    errors = argparse.ArgumentParser(add_help=False)
+    errors.add_argument("--errors", type=natural, default=3,
+                        help="max error reports on reject")
 
     parser = argparse.ArgumentParser(prog="gllkit",
                                      description="generalized-LL parsing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("recognize", "bsr", "parse", "count", "stats"):
-        sub.add_parser(name, parents=[shared])
+    recognize = sub.add_parser("recognize", parents=[shared, source, errors])
+    recognize.add_argument("--oracle", action="store_true",
+                           help="cross-check against the naive recognizer")
+    sub.add_parser("bsr", parents=[shared, source])
+    parse = sub.add_parser("parse", parents=[shared, source, errors])
+    parse.add_argument("--max-trees", type=natural, default=10)
+    sub.add_parser("count", parents=[shared, source, errors])
+    sub.add_parser("stats", parents=[shared, source])
     bench = sub.add_parser("bench", parents=[shared])
     bench.add_argument("--sizes", type=natural, nargs="+", required=True)
     bench.add_argument("--bench-char", default="a",
-                       help="character replicated to build each input")
+                       help="character (a word in words mode) replicated "
+                            "size times to build each input")
     return parser
 
 

@@ -131,32 +131,24 @@ def lazy_nonterminal(sid: SymbolId, thunk: Callable[[], Iterable[AltPlan]]) -> N
     return Nonterminal(sid, thunk=thunk)
 
 
-# A continuation is (plan, i, l): applied to a right extent r, it makes the
-# BSR element under key (plan.slots[i], l, r), whose pivot the forest derives,
-# and queues the advanced descriptor. None is the inert continuation used
-# above the start symbol. A continuation is applied to each extent of its
-# commencement once: by descend to those found before it was registered, by
-# ascend to those found after. So every element is made once. It is also
-# registered once: _act registers (plan, i+1, l) on (X, r) only while
-# processing descriptor (plan.slots[i], l, r), which is queued once, so grel
-# keeps plain lists.
+# A continuation is (plan, i, l, rights): applied to a right extent r, it makes
+# the BSR element under key (plan.slots[i], l, r), whose pivot the forest
+# derives, and queues the advanced descriptor when the key is new. rights is
+# the forest's own set of right extents of (plan.slots[i], l), fetched once
+# when the continuation is registered, so applying it is one int-set probe;
+# the loops below add to it and count into bsrs once per batch. A
+# continuation is applied to each extent of its commencement once: by descend
+# to those found before it was registered, by ascend to those found after. So
+# every element is made once. It is also registered once: _act registers
+# (plan, i+1, l) on (X, r) only while processing descriptor
+# (plan.slots[i], l, r), which is queued once, so grel keeps plain lists.
+# Commencements are plain (X, l) tuples here; they equal Commencement.
 #
 # Every descriptor is queued once. One after slot 0 is made together with a
 # BSR element of the same (slot, l, r), so it is new exactly when that forest
 # key is new. Slot-0 descriptors are queued only when descend starts a new
 # commencement: an empty alternate's is gated on its own forest key, a
 # non-empty one's on state.starts (duplicate alternates share their slots).
-
-
-def _apply_conts(state: ParseState, conts, r: int) -> None:
-    """Apply each continuation in conts to right extent r."""
-    record = state.bsrs.record
-    queue = state.queue
-    for cont in conts:
-        if cont is not None:
-            plan, i, l = cont
-            if record(plan.slots[i], l, r):
-                queue.append((plan, i, l, r))
 
 
 def _alternates(state: ParseState, sym: Nonterminal, l: int) -> None:
@@ -190,36 +182,66 @@ def _act(state: ParseState, plan: AltPlan, i: int, l: int, r: int) -> None:
     """Effect of descriptor (plan.slots[i], l, r): handle the symbol after the dot."""
     symbols = plan.symbols
     if i == len(symbols):
-        ascend(Commencement(plan.lhs, l), r, state)
+        ascend((plan.lhs, l), r, state)
         return
     sym = symbols[i]
     if type(sym) is Token:
-        inp = state.input
-        if r < len(inp) and sym.pattern.classifier(inp[r]) is not None:
-            if state.bsrs.record(plan.slots[i + 1], l, r + 1):
-                state.queue.append((plan, i + 1, l, r + 1))
-        else:
-            state.failures.record(r, plan.slots[i])
+        _match_token(state, sym, plan, i, l, r)
     else:
-        descend(sym, r, (plan, i + 1, l), state)
+        descend(sym, r, plan, i + 1, l, state)
 
 
-def descend(sym: Nonterminal, l: int, cont, state: ParseState) -> None:
-    """Register the continuation; start sym's alternates at a new commencement,
-    else apply the continuation to the extents found so far."""
-    c = Commencement(sym.id, l)
-    if state.grel.add(c, cont):
-        _alternates(state, sym, l)
+def _match_token(state: ParseState, sym: Token, plan: AltPlan, i: int, l: int,
+                 r: int) -> None:
+    """Match token sym at r for descriptor (plan.slots[i], l, r): make the
+    element and queue the advanced descriptor, or record the failure."""
+    inp = state.input
+    if r < len(inp) and sym.pattern.classifier(inp[r]) is not None:
+        if state.bsrs.record(plan.slots[i + 1], l, r + 1):
+            state.queue.append((plan, i + 1, l, r + 1))
     else:
-        for r in state.prel.extents(c):
-            _apply_conts(state, (cont,), r)
+        state.failures.record(r, plan.slots[i])
 
 
-def ascend(c: Commencement, r: int, state: ParseState) -> None:
-    """Record the extent; when it is new, apply every continuation registered
-    for c (descend has applied a later one to it)."""
-    if state.prel.add(c, r):
-        _apply_conts(state, state.grel.continuations(c), r)
+def descend(sym: Nonterminal, k: int, plan: AltPlan, i: int, l: int,
+            state: ParseState) -> None:
+    """Register continuation (plan, i, l) on commencement (sym, k); start sym's
+    alternates when the commencement is new, else apply the continuation to
+    the extents found so far."""
+    bsrs = state.bsrs
+    rights = bsrs.rights(plan.slots[i], l)
+    c = (sym.id, k)
+    if state.grel.add(c, (plan, i, l, rights)):
+        _alternates(state, sym, k)
+        return
+    extents = state.prel.extents(c)
+    queue = state.queue
+    made = 0
+    for r in extents:
+        if r not in rights:
+            rights.add(r)
+            made += 1
+            queue.append((plan, i, l, r))
+    bsrs.size += len(extents)
+    bsrs.nkeys += made
+
+
+def ascend(c: tuple[SymbolId, int], r: int, state: ParseState) -> None:
+    """Record extent r of c = (X, k); when it is new, apply every continuation
+    registered on c (descend has applied a later one to it)."""
+    if not state.prel.add(c, r):
+        return
+    conts = state.grel.continuations(c)
+    queue = state.queue
+    made = 0
+    for plan, i, l, rights in conts:
+        if r not in rights:
+            rights.add(r)
+            made += 1
+            queue.append((plan, i, l, r))
+    bsrs = state.bsrs
+    bsrs.size += len(conts)
+    bsrs.nkeys += made
 
 
 def _drive(state: ParseState) -> None:
@@ -253,7 +275,8 @@ def _start_parse(s: Symbol, input, fuel: Optional[int], lifo: bool,
     if type(s) is Token:
         _act(state, AltPlan(START_ID, (s,)), 0, 0, 0)
     else:
-        descend(s, 0, None, state)
+        state.grel.add((s.id, 0), None)
+        _alternates(state, s, 0)
     _drive(state)
     return state
 

@@ -35,37 +35,46 @@ class ResourceExhausted(Exception):
 
 
 class ContinuationRelation:
-    """grel: commencement -> the continuations (plan, i, l) waiting on it, each
-    registered once, plus their number; None is the inert continuation above
-    the start."""
+    """grel: commencement (X, l) -> the continuations (plan, i, l', rights)
+    waiting on it, each registered once, plus their number. rights is the
+    forest's set of right extents of key (plan.slots[i], l'). The inert
+    continuation above the start is counted and listed, but kept out of the
+    lists, so applying them never meets it."""
 
-    __slots__ = ("_grel", "size")
+    __slots__ = ("_grel", "_inert", "size")
 
     def __init__(self) -> None:
-        self._grel: dict[Commencement, list] = {}
+        self._grel: dict[tuple[SymbolId, int], list] = {}
+        # The commencements the inert continuation (None) is registered on.
+        self._inert: set = set()
         self.size = 0
 
-    def add(self, c: Commencement, cont) -> bool:
+    def add(self, c: tuple[SymbolId, int], cont) -> bool:
         """Register cont on c; True iff c is a new commencement."""
         self.size += 1
         conts = self._grel.get(c)
-        if conts is None:
-            self._grel[c] = [cont]
-            return True
-        conts.append(cont)
-        return False
+        new = conts is None
+        if new:
+            conts = self._grel[c] = []
+        if cont is None:
+            self._inert.add(c)
+        else:
+            conts.append(cont)
+        return new
 
-    def continuations(self, c: Commencement):
+    def continuations(self, c: tuple[SymbolId, int]):
         """The continuations waiting on c, in registration order (hot path)."""
         return self._grel.get(c, ())
 
     def pairs(self) -> Iterator[tuple[Commencement, Optional[ContinuationId]]]:
-        """(c, id) per registration; the id of (plan, i, l) is
+        """(c, id) per registration; the id of (plan, i, l, _) is
         (plan.slots[i], l), None for the inert continuation."""
         for c, conts in self._grel.items():
-            for cont in conts:
-                yield (c, None if cont is None
-                       else ContinuationId(cont[0].slots[cont[1]], cont[2]))
+            c = Commencement(*c)
+            if c in self._inert:
+                yield (c, None)
+            for plan, i, l, _ in conts:
+                yield (c, ContinuationId(plan.slots[i], l))
 
     def __len__(self) -> int:
         return self.size
@@ -85,17 +94,25 @@ class ExtentRelation:
     __slots__ = ("_rights", "_lefts", "size")
 
     def __init__(self) -> None:
-        self._rights: dict[Commencement, set[int]] = {}
+        self._rights: dict[tuple[SymbolId, int], set[int]] = {}
         self._lefts: dict[tuple[SymbolId, int], set[int]] = {}
         self.size = 0
 
-    def add(self, c: Commencement, r: int) -> bool:
-        """Record extent r of c; True iff it is new."""
-        rights = self._rights.setdefault(c, set())
-        if r in rights:
+    def add(self, c: tuple[SymbolId, int], r: int) -> bool:
+        """Record extent r of c = (X, k); True iff it is new."""
+        rights = self._rights.get(c)
+        if rights is None:
+            self._rights[c] = {r}
+        elif r in rights:
             return False
-        rights.add(r)
-        self._lefts.setdefault((c.nonterminal, r), set()).add(c.left)
+        else:
+            rights.add(r)
+        x, k = c
+        lefts = self._lefts.get((x, r))
+        if lefts is None:
+            self._lefts[(x, r)] = {k}
+        else:
+            lefts.add(k)
         self.size += 1
         return True
 
@@ -119,8 +136,11 @@ class ExtentRelation:
 
 
 class BsrSet:
-    """The forest, stored as its keys (slot, l, r) grouped by (slot, l); its
-    length counts the elements as the engine makes them, each once.
+    """The forest, stored as its keys (slot, l, r) grouped by (slot, l) into
+    sets of right extents; its length counts the elements as the engine makes
+    them, each once. A continuation carries the set of its key (`rights`), so
+    the engine adds to it directly and counts what it added; a set stays
+    empty while no key under it is reached, and no listing sees it.
 
     An element (slot_i, l, k, r) with i >= 1 exists exactly when descriptor
     (slot_{i-1}, l, k) was queued and symbol i-1 spans k..r, so pivots are
@@ -150,6 +170,15 @@ class BsrSet:
             rights.add(r)
         self.nkeys += 1
         return True
+
+    def rights(self, slot: Slot, l: int) -> set[int]:
+        """The stored set of right extents of the keys (slot, l, _), created
+        empty if there is none. Whoever adds to it counts the new keys in
+        nkeys and every element made in size."""
+        rights = self._rights.get((slot, l))
+        if rights is None:
+            rights = self._rights[(slot, l)] = set()
+        return rights
 
     def has_key(self, slot: Slot, l: int, r: int) -> bool:
         return r in self._rights.get((slot, l), _NONE)

@@ -99,6 +99,19 @@ class TestBsr:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    def test_reject_dump_lists_only_reached_keys(self, capsys):
+        """On a+a+ the run registers continuations on Expr at 2 and at 4 whose
+        keys (Expr ::= Expr '+' Expr ., 2, _) and (Expr ::= Expr . '+' Expr,
+        4, _) are never reached; the dump does not list them."""
+        code, out, _ = run_cli(capsys, "bsr", "--grammar", g("expr.g"),
+                               "--start", "Expr", "--text", "a+a+")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "total: 9" and len(lines) == 10
+        assert not any(line.startswith(("Expr ::= Expr '+' Expr ., 2,",
+                                        "Expr ::= Expr . '+' Expr, 4,"))
+                       for line in lines)
+
     def test_empty_input_contains_epsilon_element(self, capsys):
         _, out, _ = run_cli(capsys, "bsr", "--grammar", g("e.g"),
                             "--start", "E", "--text", "")
@@ -225,6 +238,20 @@ class TestBench:
         assert err == ""
         assert out == "size 3: accept\n"
 
+    def test_words_mode_builds_size_tokens(self, capsys):
+        """In words mode an input of size n is n words, as `recognize --mode
+        words --text "a a a"` reads it, not one word of n characters."""
+        code, out, _ = run_cli(capsys, "bench", "--grammar", g("s1.g"),
+                               "--start", "S1", "--mode", "words",
+                               "--sizes", "0", "3", "5", "--deterministic")
+        assert code == 0
+        assert out.splitlines() == ["size 0: accept", "size 3: accept",
+                                    "size 5: accept"]
+        code, out, _ = run_cli(capsys, "recognize", "--grammar", g("s1.g"),
+                               "--start", "S1", "--mode", "words",
+                               "--text", "a a a")
+        assert code == 0 and out == "accept\n"
+
 
 def usage_error(capsys, *args):
     """The exit code and the last stderr line of a command argparse rejects."""
@@ -259,6 +286,32 @@ class TestNegativeCounts:
         code, err = usage_error(capsys, "bench", "--grammar", g("e.g"),
                                 "--start", "E", "--sizes", "1", "-2")
         assert code == 2 and err.endswith("argument --sizes: must not be negative: -2")
+
+
+# Each command with an option it does not read, and that option's value.
+UNREAD_OPTIONS = [
+    ("bench", "--text", "abc"), ("bench", "--input", "x.txt"), ("bench", "--stdin"),
+    ("bench", "--errors", "2"), ("bench", "--max-trees", "2"), ("bench", "--oracle"),
+    ("recognize", "--max-trees", "2"),
+    ("bsr", "--max-trees", "2"), ("bsr", "--errors", "2"), ("bsr", "--oracle"),
+    ("parse", "--oracle"),
+    ("count", "--max-trees", "2"), ("count", "--oracle"),
+    ("stats", "--max-trees", "2"), ("stats", "--errors", "2"), ("stats", "--oracle"),
+]
+
+
+class TestOptionsPerCommand:
+    """A command accepts only the options it reads: one it would ignore is a
+    usage error, exit 2, before any run."""
+
+    @pytest.mark.parametrize("command,option", [(u[0], u[1:]) for u in UNREAD_OPTIONS],
+                             ids=[f"{u[0]}{u[1]}" for u in UNREAD_OPTIONS])
+    def test_unread_option_is_a_usage_error(self, capsys, command, option):
+        source = ("--sizes", "3") if command == "bench" else ("--text", "a")
+        code, err = usage_error(capsys, command, "--grammar", g("e.g"),
+                                "--start", "E", *source, *option)
+        assert code == 2
+        assert err.endswith("unrecognized arguments: " + " ".join(option))
 
 
 class TestDeterminism:

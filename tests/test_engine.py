@@ -1,6 +1,10 @@
 """Engine actions and whole-run behavior, including the hand-derived golden
 trace for the cyclic grammar E: E E E | 'a' | on input "a"."""
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -29,7 +33,7 @@ from gllkit.engine import (
 )
 from gllkit.state import ParseState, ResourceExhausted
 
-from helpers import load_grammar, random_grammar, random_input
+from helpers import GRAMMARS, load_grammar, random_grammar, random_input
 from gllkit.dsl import Elaborator, parse_grammar
 
 
@@ -161,13 +165,15 @@ def queued_tuples(state):
 
 
 def descend_z(state, l):
-    """Descend into X at l on behalf of Z: X."""
-    descend(X_SYM, l, (Z_PLAN, 1, 0), state)
+    """Descend into X at l on behalf of Z: X, registering continuation
+    (Z_PLAN, 1, 0)."""
+    descend(X_SYM, l, Z_PLAN, 1, 0, state)
 
 
 def descend_y(state, l):
-    """Descend into X at l on behalf of Y: X X."""
-    descend(X_SYM, l, (Y_PLAN, 1, 0), state)
+    """Descend into X at l on behalf of Y: X X, registering continuation
+    (Y_PLAN, 1, 0)."""
+    descend(X_SYM, l, Y_PLAN, 1, 0, state)
 
 
 class TestActions:
@@ -175,6 +181,10 @@ class TestActions:
         state = ParseState("a")
         descend_z(state, 0)
         assert len(state.grel) == 1
+        # the continuation carries the forest's set of its key, still empty
+        (cont,) = state.grel.continuations((X_SYM.id, 0))
+        assert cont[:3] == (Z_PLAN, 1, 0)
+        assert cont[3] is state.bsrs.rights(Z_PLAN.slots[1], 0) and not cont[3]
         # X's one alternate is empty: its slot 0 is also a forest key
         assert bsr_tuples(state) == {("X ::= .", 0, 0, 0)}
         assert queued_tuples(state) == [("X ::= .", 0, 0)]
@@ -341,6 +351,59 @@ class TestPinnedWork:
                 assert work_of(state) == want, start
 
 
+# Prints, as JSON, per run: its work counts, its sorted bsr dump (drained
+# runs only) and the descriptors in the order the queue was drained, for the
+# pinned anbncn.g trip and E a^20. The queue records what it hands out.
+ORDER_PROBE = """
+import json
+from collections import deque
+import gllkit.state
+from gllkit.core import render_slot
+from test_engine import fresh_start, run_to_end, work_of
+
+class RecordingQueue(deque):
+    def popleft(self):
+        plan, i, l, r = item = super().popleft()
+        drained.append([render_slot(plan.slots[i]), l, r])
+        return item
+
+gllkit.state.deque = RecordingQueue
+out = []
+for grammar_file, start, text, budget in (("anbncn.g", "Start", "aabbcc", 100),
+                                          ("e.g", "E", "a" * 20, None)):
+    drained = []
+    state = run_to_end(fresh_start(grammar_file, start), text,
+                       instantiation_budget=budget)
+    bsr = ([[render_slot(b.slot), b.left, b.pivot, b.right]
+            for b in state.bsrs.sorted_elements()] if budget is None else [])
+    out.append([work_of(state), bsr, drained])
+print(json.dumps(out))
+"""
+
+
+class TestHashSeed:
+    def test_queue_order_does_not_depend_on_the_hash_seed(self):
+        """The engine orders the queue by registration lists and int sets,
+        never by a set of hashed objects, so the drain order, the trip point
+        and the listings repeat under any PYTHONHASHSEED."""
+        tests = str(GRAMMARS.parent / "tests")
+        src = str(GRAMMARS.parent / "src")
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join((src, tests)))
+            done = subprocess.run([sys.executable, "-c", ORDER_PROBE],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout))
+        (trip, _, trip_order), (whole, bsr, order) = runs[0]
+        assert trip == list(PINNED_WORK[4][4]) and len(trip_order) == trip[0]
+        assert whole == list(PINNED_WORK[0][4]) and len(order) == whole[0]
+        assert len(bsr) == whole[2]
+        assert runs[0] == runs[1]
+
+
 def assert_uset_is_forest_keys_plus_slot_zero(state):
     """The facts the descriptor view relies on: every forest key is past
     slot 0 or is an empty alternate's slot 0, and every start is a non-empty
@@ -368,6 +431,25 @@ def assert_each_continuation_registered_once(state):
     assert len(set(pairs)) == len(pairs) == len(state.grel)
 
 
+def assert_continuations_carry_forest_sets(state):
+    """Each registered continuation (plan, i, l, rights) adds to the forest's
+    own set for key (plan.slots[i], l). A key registered but never reached
+    leaves its set empty, and no count or listing sees it."""
+    registered = set()
+    for c in {c for c, cid in state.grel.pairs() if cid is not None}:
+        for plan, i, l, rights in state.grel.continuations(c):
+            assert rights is state.bsrs.rights(plan.slots[i], l)
+            registered.add((plan.slots[i], l))
+    keys = list(state.bsrs.keys())
+    assert len(keys) == len(set(keys)) == state.bsrs.nkeys
+    assert len(state.uset) == state.bsrs.nkeys + len(state.starts)
+    reached = {(slot, l) for slot, l, _ in keys}
+    listed = {(d.slot, d.left) for d in state.uset}
+    for unreached in registered - reached:
+        assert unreached not in listed
+    return registered - reached
+
+
 class TestDescriptorGate:
     @pytest.mark.parametrize("kwargs", SCHEDULES, ids=["fifo", "lifo", "reversed"])
     def test_uset_matches_forest_keys_on_fixed_runs(self, kwargs):
@@ -391,6 +473,15 @@ class TestDescriptorGate:
                                instantiation_budget=budget, **kwargs)
             assert_each_continuation_registered_once(state)
 
+    @pytest.mark.parametrize("kwargs", SCHEDULES, ids=["fifo", "lifo", "reversed"])
+    def test_continuations_carry_forest_sets_on_fixed_runs(self, kwargs):
+        unreached = 0
+        for grammar_file, start, text, budget, _ in PINNED_WORK:
+            state = run_to_end(fresh_start(grammar_file, start), text,
+                               instantiation_budget=budget, **kwargs)
+            unreached += len(assert_continuations_carry_forest_sets(state))
+        assert unreached > 0  # the runs do register keys they never reach
+
     def test_uset_matches_forest_keys_on_random_grammars(self):
         rng = random.Random(4242)
         for _ in range(60):
@@ -404,6 +495,7 @@ class TestDescriptorGate:
                     assert_uset_is_forest_keys_plus_slot_zero(state)
                     assert_each_element_made_once(state)
                     assert_each_continuation_registered_once(state)
+                    assert_continuations_carry_forest_sets(state)
 
 
 class TestMemory:

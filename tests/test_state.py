@@ -71,12 +71,13 @@ class TestDescriptorSet:
 
 
 class TestContinuationRelation:
-    """grel holds continuations (plan, i, l); (plan.slots[i], l) is their id."""
+    """grel holds continuations (plan, i, l, rights); (plan.slots[i], l) is
+    their id, and rights the forest's set of right extents for that key."""
 
     def test_single_pair(self):
         state = fresh()
         c = Commencement(E, 0)
-        cont = (PLAN, 1, 0)
+        cont = (PLAN, 1, 0, state.bsrs.rights(S1, 0))
         assert state.grel.add(c, cont)
         assert list(state.grel.continuations(c)) == [cont]
         assert state.grel.snapshot() == {(c, ContinuationId(S1, 0))}
@@ -91,20 +92,41 @@ class TestContinuationRelation:
     def test_two_cids_under_one_commencement(self):
         state = fresh()
         c = Commencement(E, 0)
-        assert state.grel.add(c, (PLAN, 2, 0))
-        assert not state.grel.add(c, (PLAN, 1, 0))
+        second = (PLAN, 2, 0, state.bsrs.rights(S2, 0))
+        first = (PLAN, 1, 0, state.bsrs.rights(S1, 0))
+        assert state.grel.add(c, second)
+        assert not state.grel.add(c, first)
         # applied in the order registered
-        assert list(state.grel.continuations(c)) == [(PLAN, 2, 0), (PLAN, 1, 0)]
+        assert list(state.grel.continuations(c)) == [second, first]
         assert state.grel.snapshot() == {(c, ContinuationId(S1, 0)),
                                          (c, ContinuationId(S2, 0))}
         assert len(state.grel) == 2
 
     def test_inert_continuation_has_no_id(self):
+        """It is counted and listed, but not applied: the lists leave it out."""
         state = fresh()
         c = Commencement(E, 0)
         assert state.grel.add(c, None)
-        assert list(state.grel.continuations(c)) == [None]
+        assert list(state.grel.continuations(c)) == []
         assert state.grel.snapshot() == {(c, None)}
+        assert len(state.grel) == 1
+        cont = (PLAN, 1, 0, state.bsrs.rights(S1, 0))
+        assert not state.grel.add(c, cont)
+        assert list(state.grel.continuations(c)) == [cont]
+        assert list(state.grel.pairs()) == [(c, None), (c, ContinuationId(S1, 0))]
+
+    def test_plain_tuple_keys_equal_commencements(self):
+        """The engine keys grel and prel by plain (X, l) tuples; every
+        Commencement-taking accessor reads the same entries."""
+        state = fresh()
+        cont = (PLAN, 1, 0, state.bsrs.rights(S1, 0))
+        assert state.grel.add((E, 0), cont)
+        assert list(state.grel.continuations(Commencement(E, 0))) == [cont]
+        (c, _), = state.grel.pairs()
+        assert type(c) is Commencement
+        state.prel.add((E, 0), 2)
+        assert state.prel.extents_for(Commencement(E, 0)) == [2]
+        assert not state.prel.add(Commencement(E, 0), 2)
 
 
 class TestExtentRelation:
@@ -190,6 +212,18 @@ class TestBsrSet:
             assert state.bsrs.has_key(b.slot, b.left, b.right)
         assert len(listed) == len(set(listed)) == len(state.bsrs)
         assert {(b.slot, b.left, b.right) for b in listed} == set(state.bsrs.keys())
+
+    def test_carried_set_is_the_key_set(self):
+        """rights(slot, l) is the one set of the keys (slot, l, _): record adds
+        to it, and a set that stays empty is seen by no listing."""
+        state = fresh()
+        bsrs = state.bsrs
+        rights = bsrs.rights(S1, 0)
+        assert rights == set() and bsrs.rights(S1, 0) is rights
+        assert list(bsrs.keys()) == [] and bsrs.nkeys == 0 == len(state.uset)
+        assert not bsrs.has_key(S1, 0, 0) and bsrs.pivots(S1, 0, 0) == []
+        assert bsrs.record(S1, 0, 2)
+        assert rights == {2} and list(bsrs.keys()) == [(S1, 0, 2)]
 
     def test_dump_order_is_canonical(self):
         state = e_run("aa")
