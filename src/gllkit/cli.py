@@ -239,7 +239,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     shared.add_argument("--fuel", type=natural, default=DEFAULT_FUEL,
                         help="descriptor budget, 0 = unlimited")
     shared.add_argument("--format", choices=("text", "json"), default="text")
-    shared.add_argument("--deterministic", action="store_true",
+    timing = argparse.ArgumentParser(add_help=False)
+    timing.add_argument("--deterministic", action="store_true",
                         help="suppress timing output")
     source = argparse.ArgumentParser(add_help=False)
     src = source.add_mutually_exclusive_group()
@@ -260,8 +261,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parse = sub.add_parser("parse", parents=[shared, source, errors])
     parse.add_argument("--max-trees", type=natural, default=10)
     sub.add_parser("count", parents=[shared, source, errors])
-    sub.add_parser("stats", parents=[shared, source])
-    bench = sub.add_parser("bench", parents=[shared])
+    sub.add_parser("stats", parents=[shared, source, timing])
+    bench = sub.add_parser("bench", parents=[shared, timing])
     bench.add_argument("--sizes", type=natural, nargs="+", required=True)
     bench.add_argument("--bench-char", default="a",
                        help="character (a word in words mode) replicated "

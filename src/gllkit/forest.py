@@ -4,7 +4,7 @@ and furthest-failure error reports."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import Slot, SymbolId, render_id, render_slot
@@ -14,6 +14,8 @@ from .state import BsrSet, ParseState
 # Counts saturate here rather than growing without bound on pathological
 # forests; the flag in DerivationCount reports when the cap was hit.
 COUNT_CAP = 10 ** 30
+
+_NONE: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -114,80 +116,135 @@ def _child_visited(cl: int, cr: int, l: int, r: int,
     return visited | {sid}
 
 
+def _fold(memo: dict, key, step, args: tuple):
+    """memo[key] = step(*args), computed on an explicit stack, so that no
+    derivation depth bounds it. A step is a generator function: for each value
+    it needs that memo does not hold yet, it yields (key, step, args) and is
+    sent that value back, and it returns its own value. Every value is stored
+    in memo under its key."""
+    stack = [(key, step(*args))]
+    value = None
+    while stack:
+        top, gen = stack[-1]
+        try:
+            need = gen.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = memo[top] = done.value
+        else:
+            key, step, args = need
+            stack.append((key, step(*args)))
+            value = None
+    return value
+
+
 def evaluate(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,
-             visited: frozenset = frozenset(), filters: Sequence = ()) -> list:
-    """One semantic value per (curtailed) derivation of input[l:r) at sym."""
+             filters: Sequence = ()) -> list:
+    """One semantic value per (curtailed) derivation of input[l:r) at sym:
+    alternates in definition order, splits ascending, child values combined
+    with the first child varying slowest. Each span's values are computed
+    once and shared by every parent that uses the span."""
     if isinstance(sym, Token):
         return evaluate_token(sym.pattern, input, l, r)
-    if sym.id in visited:
-        return []
-    out: list = []
-    for plan in sym.plans():
-        for bounds in enumerate_splits(plan.slots, l, r, bsrs):
-            child_lists = []
-            for i, child in enumerate(plan.symbols):
-                cl, cr = bounds[i], bounds[i + 1]
-                vals = evaluate(child, input, bsrs, cl, cr,
-                                _child_visited(cl, cr, l, r, visited, sym.id),
-                                filters)
-                if not vals:
-                    break
-                child_lists.append(vals)
-            else:
-                if plan.action_kind == "multi" and plan.action is not None:
-                    out.extend(plan.action(child_lists))
-                    continue
-                candidates = [SplitCandidate(plan, bounds, combo)
-                              for combo in _product(child_lists)]
-                for cand in apply_filters(filters, candidates):
-                    if plan.action is not None:
-                        out.append(plan.action(list(cand.children)))
+    memo: dict = {}
+
+    def span(sym, l, r, visited):
+        out: list = []
+        for plan in sym.plans():
+            for bounds in enumerate_splits(plan.slots, l, r, bsrs):
+                child_lists = []
+                for i, child in enumerate(plan.symbols):
+                    cl, cr = bounds[i], bounds[i + 1]
+                    if isinstance(child, Token):
+                        vals = evaluate_token(child.pattern, input, cl, cr)
                     else:
-                        out.append(TreeNode(sym.id, l, r, cand.children))
-    return out
+                        seen = _child_visited(cl, cr, l, r, visited, sym.id)
+                        key = (child.id, cl, cr, seen)
+                        vals = [] if child.id in seen else memo.get(key)
+                        if vals is None:
+                            vals = yield key, span, (child, cl, cr, seen)
+                    if not vals:
+                        break
+                    child_lists.append(vals)
+                else:
+                    if plan.action_kind == "multi" and plan.action is not None:
+                        out.extend(plan.action(child_lists))
+                        continue
+                    candidates = [SplitCandidate(plan, bounds, combo)
+                                  for combo in product(*child_lists)]
+                    for cand in apply_filters(filters, candidates):
+                        if plan.action is not None:
+                            out.append(plan.action(list(cand.children)))
+                        else:
+                            out.append(TreeNode(sym.id, l, r, cand.children))
+        return out
+
+    return _fold(memo, (sym.id, l, r, _NONE), span, (sym, l, r, _NONE))
 
 
-def _product(lists: list) -> list[tuple]:
-    combos: list[tuple] = [()]
-    for vals in lists:
-        combos = [c + (v,) for c in combos for v in vals]
-    return combos
+def count_derivations(sym: Symbol, input, bsrs: BsrSet, l: int, r: int) -> DerivationCount:
+    """Curtailed derivation count, saturating at COUNT_CAP.
 
-
-def count_derivations(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,
-                      visited: frozenset = frozenset(),
-                      _memo: Optional[dict] = None) -> DerivationCount:
-    """Curtailed derivation count, memoized, saturating at COUNT_CAP."""
-    memo: dict = {} if _memo is None else _memo
-    n = _count(sym, input, bsrs, l, r, visited, memo)
-    return DerivationCount(min(n, COUNT_CAP), n > COUNT_CAP)
-
-
-def _count(sym, input, bsrs, l, r, visited, memo) -> int:
+    A sum-product over the forest keys. A span's count sums the counts of its
+    alternates' whole prefixes. The prefix of slot i over l..b sums, over the
+    pivots k of key (slot i, l, b), the prefix of slot i-1 over l..k times
+    the count of symbol i-1 over k..b. Only a child spanning its parent's
+    whole extent is curtailed, so a prefix ending before its parent's right
+    extent is shared by every parent with the same (slot, l). Sums and
+    products saturate at COUNT_CAP + 1, which leaves them exact below it."""
     if isinstance(sym, Token):
-        return 1 if evaluate_token(sym.pattern, input, l, r) else 0
-    if sym.id in visited:
-        return 0
-    key = (sym.id, l, r, visited)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    total = 0
-    for plan in sym.plans():
-        for bounds in enumerate_splits(plan.slots, l, r, bsrs):
-            prod = 1
-            for i, child in enumerate(plan.symbols):
-                cl, cr = bounds[i], bounds[i + 1]
-                prod *= _count(child, input, bsrs, cl, cr,
-                               _child_visited(cl, cr, l, r, visited, sym.id),
-                               memo)
-                if prod == 0:
-                    break
-            total += prod
-            if total > COUNT_CAP:
-                total = COUNT_CAP + 1
-    memo[key] = total
-    return total
+        return DerivationCount(len(evaluate_token(sym.pattern, input, l, r)), False)
+    cap = COUNT_CAP + 1
+    memo: dict = {}
+
+    def span(sym, l, r, visited):
+        total = 0
+        for plan in sym.plans():
+            n = len(plan.symbols)
+            if n == 0:
+                total += len(enumerate_splits(plan.slots, l, r, bsrs))
+                continue
+            key = (plan.slots[n], l, r, visited)
+            got = memo.get(key)
+            if got is None:
+                got = yield key, prefix, (plan, n, l, r, visited, sym.id)
+            total += got
+        return min(total, cap)
+
+    def prefix(plan, i, l, b, top, sid):
+        # Symbols 0..i-1 of plan over l..b. top is the parent's visited set
+        # when b is the parent's right extent; otherwise it is None, since no
+        # child of the prefix can then span the parent's whole extent.
+        child, before = plan.symbols[i - 1], plan.slots[i - 1]
+        token = child.pattern if isinstance(child, Token) else None
+        total = 0
+        for k in bsrs.pivots(plan.slots[i], l, b):
+            if i == 1:
+                left = 1
+            else:
+                upper = top if k == b else None
+                key = (before, l, k, upper)
+                left = memo.get(key)
+                if left is None:
+                    left = yield key, prefix, (plan, i - 1, l, k, upper, sid)
+                if not left:
+                    continue
+            if token is not None:
+                if evaluate_token(token, input, k, b):
+                    total += left
+                continue
+            seen = _NONE if top is None else _child_visited(k, b, l, b, top, sid)
+            if child.id in seen:
+                continue
+            key = (child.id, k, b, seen)
+            got = memo.get(key)
+            if got is None:
+                got = yield key, span, (child, k, b, seen)
+            total += left * got
+        return min(total, cap)
+
+    n = _fold(memo, (sym.id, l, r, _NONE), span, (sym, l, r, _NONE))
+    return DerivationCount(min(n, COUNT_CAP), n > COUNT_CAP)
 
 
 def iter_trees(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,

@@ -3,9 +3,11 @@ grammar ASTs, and slow-but-obvious brute-force derivation oracles."""
 from __future__ import annotations
 
 import random
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 from gllkit.dsl import GrammarAst, Lit, Ref, parse_grammar
+from gllkit.engine import Symbol, Token
 
 GRAMMARS = Path(__file__).resolve().parent.parent / "grammars"
 
@@ -15,12 +17,19 @@ def load_grammar(name: str) -> GrammarAst:
 
 
 def random_grammar(rng: random.Random, max_nts: int = 4, max_alts: int = 3,
-                   max_len: int = 3, tokens: str = "ab") -> str:
+                   max_len: int = 3, tokens: str = "ab", params: bool = False) -> str:
     """A small random grammar in DSL text form. Nullable and left-recursive
-    definitions arise naturally from empty alternates and self-references."""
+    definitions arise naturally from empty alternates and self-references.
+
+    With params, a definition P(x) is added whose alternates may also use x
+    and P(x), and the other definitions may apply P to a token or a name. No
+    argument grows, so instantiation stays bounded."""
     names = [f"N{i}" for i in range(rng.randint(1, max_nts))]
-    lines = []
-    for name in names:
+    choices = names
+    if params:
+        choices = names + [f"P({a})" for a in [f"'{t}'" for t in tokens] + names]
+
+    def alternates(choices: list[str]) -> str:
         alts = []
         for _ in range(rng.randint(1, max_alts)):
             syms = []
@@ -28,9 +37,13 @@ def random_grammar(rng: random.Random, max_nts: int = 4, max_alts: int = 3,
                 if rng.random() < 0.5:
                     syms.append(f"'{rng.choice(tokens)}'")
                 else:
-                    syms.append(rng.choice(names))
+                    syms.append(rng.choice(choices))
             alts.append(" ".join(syms))
-        lines.append(f"{name}: " + " | ".join(alts))
+        return " | ".join(alts)
+
+    lines = [f"{name}: " + alternates(choices) for name in names]
+    if params:
+        lines.append("P(x): " + alternates(names + ["x", "P(x)"]))
     return "\n".join(lines) + "\n"
 
 
@@ -86,6 +99,50 @@ def is_left_recursive(ast: GrammarAst) -> bool:
         return False
 
     return any(visit(d.name) for d in ast.definitions)
+
+
+def reachable_nonterminals(start: Symbol) -> dict:
+    """Id -> symbol of every elaborated nonterminal reachable from start,
+    instances of parameterized definitions included."""
+    nts: dict = {}
+    todo = [start]
+    while todo:
+        sym = todo.pop()
+        if isinstance(sym, Token) or sym.id in nts:
+            continue
+        nts[sym.id] = sym
+        for plan in sym.plans():
+            todo.extend(plan.symbols)
+    return nts
+
+
+def instance_left_recursive(start: Symbol) -> bool:
+    """is_left_recursive on the elaborated nonterminals reachable from start,
+    so that instances of parameterized definitions count too."""
+    nts = reachable_nonterminals(start)
+    nullable: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for sid, sym in nts.items():
+            if sid not in nullable and any(all(s.id in nullable for s in plan.symbols)
+                                           for plan in sym.plans()):
+                nullable.add(sid)
+                changed = True
+    corners: dict = {sid: set() for sid in nts}
+    for sid, sym in nts.items():
+        for plan in sym.plans():
+            for s in plan.symbols:
+                if isinstance(s, Token):
+                    break
+                corners[sid].add(s.id)
+                if s.id not in nullable:
+                    break
+    try:
+        tuple(TopologicalSorter(corners).static_order())
+    except CycleError:
+        return True
+    return False
 
 
 def brute_count(ast: GrammarAst, start: str, text: str) -> int:

@@ -15,6 +15,7 @@ from gllkit.core import render_slot
 from helpers import (
     GRAMMARS,
     brute_count,
+    instance_left_recursive,
     is_left_recursive,
     load_grammar,
     random_grammar,
@@ -78,29 +79,37 @@ def test_criterion_2_order_independence():
     report(2, f"{grammars} grammars, 3 schedules each, identical state")
 
 
+def oracle_pairs(rng: random.Random, want: int, params: bool) -> int:
+    """Agreement with the naive recognizer on `want` grammar/input pairs of
+    random grammars it can run: left-recursive ones are skipped."""
+    pairs = 0
+    while pairs < want:
+        ast = parse_grammar(random_grammar(rng, params=params))
+        start = ast.definitions[0].name
+        sym = Elaborator(ast).start_symbol(start)
+        if is_left_recursive(ast) or instance_left_recursive(sym):
+            continue
+        rec = NaiveInterpreter(ast).recognizer(start)
+        for _ in range(4):
+            text = random_input(rng)
+            engine_says, _ = checked_run(sym, text)
+            assert naive_run(rec, text) == engine_says, (start, text)
+            pairs += 1
+    return pairs
+
+
 def test_criterion_3_oracle_equivalence():
     t0 = time.perf_counter()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(20000)  # the CPS oracle nests a call per symbol
     try:
-        rng = random.Random(5150)
-        pairs = 0
-        while pairs < 1000:
-            ast = parse_grammar(random_grammar(rng))
-            if is_left_recursive(ast):
-                continue
-            start = ast.definitions[0].name
-            sym = Elaborator(ast).start_symbol(start)
-            rec = NaiveInterpreter(ast).recognizer(start)
-            for _ in range(4):
-                text = random_input(rng)
-                engine_says, _ = checked_run(sym, text)
-                assert naive_run(rec, text) == engine_says, (start, text)
-                pairs += 1
+        plain = oracle_pairs(random.Random(5150), 1000, params=False)
+        parameterized = oracle_pairs(random.Random(8128), 200, params=True)
     finally:
         sys.setrecursionlimit(limit)
     assert time.perf_counter() - t0 < 60.0
-    report(3, f"{pairs} grammar/input pairs agree with the naive recognizer")
+    report(3, f"{plain} grammar/input pairs agree with the naive recognizer, "
+              f"and {parameterized} of parameterized grammars")
 
 
 def test_criterion_4_ambiguity_counts():

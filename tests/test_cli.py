@@ -23,6 +23,16 @@ def g(name):
     return str(GRAMMARS / name)
 
 
+def run_fresh(*args):
+    """`python -m gllkit.cli` in a fresh process, so that the stack limit is
+    the interpreter's default whatever other tests have set in this one."""
+    src = str(GRAMMARS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "gllkit.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestRecognize:
     def test_accept(self, capsys):
         code, out, _ = run_cli(capsys, "recognize", "--grammar", g("e.g"),
@@ -185,6 +195,13 @@ class TestCount:
                                "--start", "Start", "--text", "1234")
         assert code == 0 and out.strip() == "1"
 
+    def test_deep_left_recursion(self, tmp_path):
+        grammar = tmp_path / "l.g"
+        grammar.write_text("L: L 'a' | 'a'\n")
+        done = run_fresh("count", "--grammar", str(grammar), "--start", "L",
+                         "--text", "a" * 3000)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+
     def test_json(self, capsys):
         _, out, _ = run_cli(capsys, "count", "--grammar", g("expr.g"),
                             "--start", "Expr", "--text", "a+a+a",
@@ -297,6 +314,8 @@ UNREAD_OPTIONS = [
     ("parse", "--oracle"),
     ("count", "--max-trees", "2"), ("count", "--oracle"),
     ("stats", "--max-trees", "2"), ("stats", "--errors", "2"), ("stats", "--oracle"),
+    ("recognize", "--deterministic"), ("bsr", "--deterministic"),
+    ("parse", "--deterministic"), ("count", "--deterministic"),
 ]
 
 
@@ -317,7 +336,7 @@ class TestOptionsPerCommand:
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):
         args = ("parse", "--grammar", g("expr.g"), "--start", "Expr",
-                "--text", "a+a+a", "--deterministic")
+                "--text", "a+a+a")
         first = run_cli(capsys, *args)
         second = run_cli(capsys, *args)
         assert first == second
@@ -325,16 +344,9 @@ class TestDeterminism:
 
 class TestInternalFailure:
     def test_recursion_error_exits_2_with_one_line(self):
-        # A fresh process, so that the stack limit is the interpreter's
-        # default whatever other tests have set in this one.
-        src = str(GRAMMARS.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         text = "(" + ",".join("a" * 300) + ")"
-        done = subprocess.run(
-            [sys.executable, "-m", "gllkit.cli", "parse", "--grammar", g("tuples.g"),
-             "--start", "AlphaTuples", "--text", text],
-            capture_output=True, text=True, env=env, timeout=120)
+        done = run_fresh("parse", "--grammar", g("tuples.g"),
+                         "--start", "AlphaTuples", "--text", text)
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error: RecursionError")

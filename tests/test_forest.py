@@ -1,5 +1,8 @@
 """Semantic phase: split enumeration, evaluation, counting, trees, filters,
 and furthest-failure error reports."""
+import random
+from collections import Counter
+
 import pytest
 
 from gllkit.core import Applied, Commencement, Slot, TokenName
@@ -12,6 +15,7 @@ from gllkit.engine import (
     TokenPattern,
 )
 from gllkit.forest import (
+    COUNT_CAP,
     Leaf,
     PrecedenceFilter,
     SplitCandidate,
@@ -26,7 +30,14 @@ from gllkit.forest import (
     iter_trees,
 )
 
-from helpers import brute_count, load_grammar
+from helpers import (
+    brute_count,
+    instance_left_recursive,
+    load_grammar,
+    random_grammar,
+    random_input,
+    reachable_nonterminals,
+)
 
 
 def e_symbol():
@@ -148,6 +159,139 @@ class TestCounting:
         sym = elab.start_symbol("Expr")
         _, state = run_recognize(sym, "a+")
         assert count_derivations(sym, "a+", state.bsrs, 0, 2).value == 0
+
+
+SCHEDULES = ({}, {"lifo": True}, {"reverse_alternates": True})
+# Above this many derivations, the trees are not built.
+TREE_LIMIT = 500
+
+
+def leaf_text(tree) -> str:
+    """The tokens at a tree's leaves, left to right, read without recursion."""
+    out, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Leaf):
+            out.append(node.value)
+        else:
+            todo.extend(reversed(node.children))
+    return "".join(out)
+
+
+def as_evaluated(tree):
+    """A tree as evaluate builds it without actions: tokens are their values."""
+    if isinstance(tree, Leaf):
+        return tree.value
+    return TreeNode(tree.symbol, tree.left, tree.right,
+                    tuple(as_evaluated(c) for c in tree.children))
+
+
+def has_duplicate_alternates(sym) -> bool:
+    """Two alternates of one reachable nonterminal have the same symbols, so
+    their trees are equal: a tree does not record its alternate."""
+    return any(len({tuple(s.id for s in p.symbols) for p in nt.plans()}) < len(nt.plans())
+               for nt in reachable_nonterminals(sym).values())
+
+
+def check_forest(sym, text, schedule):
+    """The count of one run agrees with its trees and with its evaluation
+    without actions; returns the count."""
+    accepted, state = run_recognize(sym, text, **schedule)
+    n = len(text)
+    count = count_derivations(sym, text, state.bsrs, 0, n)
+    assert (count.value > 0) == accepted
+    if count.saturated or count.value > TREE_LIMIT:
+        return count
+    trees = extract_trees(sym, text, state.bsrs)
+    assert len(trees) == count.value
+    assert has_duplicate_alternates(sym) or len(set(trees)) == len(trees)
+    assert all(leaf_text(t) == text for t in trees)
+    for k in (0, 1, len(trees) // 2 + 1):
+        assert extract_trees(sym, text, state.bsrs, limit=k) == trees[:k]
+    assert (Counter(evaluate(sym, text, state.bsrs, 0, n))
+            == Counter(as_evaluated(t) for t in trees))
+    return count
+
+
+class TestDifferential:
+    """On random grammars (nullable, cyclic and left-recursive) and inputs of
+    at most 6 tokens, under every schedule: the count equals the number of
+    trees, the number of evaluated trees and, without parameters, the
+    brute-force count."""
+
+    def test_random_grammars(self):
+        rng = random.Random(1999)
+        ambiguous = 0
+        for _ in range(150):
+            ast = parse_grammar(random_grammar(rng))
+            start = ast.definitions[0].name
+            for _ in range(3):
+                text = random_input(rng, max_len=6)
+                want = brute_count(ast, start, text)
+                for schedule in SCHEDULES:
+                    sym = Elaborator(ast).start_symbol(start)
+                    got = check_forest(sym, text, schedule)
+                    assert got == (min(want, COUNT_CAP), want > COUNT_CAP), (start, text)
+                ambiguous += want > 1
+        assert ambiguous > 10
+
+    def test_random_parameterized_grammars(self):
+        rng = random.Random(2024)
+        ambiguous = left_recursive = 0
+        for _ in range(150):
+            ast = parse_grammar(random_grammar(rng, params=True))
+            start = ast.definitions[0].name
+            for _ in range(3):
+                text = random_input(rng, max_len=6)
+                counts = {check_forest(Elaborator(ast).start_symbol(start), text, schedule)
+                          for schedule in SCHEDULES}
+                assert len(counts) == 1, (start, text)
+                ambiguous += counts.pop().value > 1
+            left_recursive += instance_left_recursive(Elaborator(ast).start_symbol(start))
+        assert ambiguous > 10 and left_recursive > 10
+
+
+def left_recursive_l(actions: bool):
+    """L: L 'a' | 'a', optionally with actions that count the leaves."""
+    a = char_token("a")
+    L = Applied("L")
+    sym = Nonterminal(L, thunk=lambda: [
+        AltPlan(L, (sym, a), action=(lambda cs: cs[0] + 1) if actions else None),
+        AltPlan(L, (a,), action=(lambda cs: 1) if actions else None)])
+    return sym
+
+
+class TestDepth:
+    """Count and evaluate run on an explicit stack, so a derivation deeper
+    than the interpreter's stack limit is read back whole."""
+
+    TEXT = "a" * 3000
+
+    def test_count_left_recursive(self):
+        sym = left_recursive_l(actions=False)
+        _, state = run_recognize(sym, self.TEXT)
+        assert count_derivations(sym, self.TEXT, state.bsrs, 0, 3000) == (1, False)
+
+    def test_evaluate_left_recursive_with_actions(self):
+        sym = left_recursive_l(actions=True)
+        _, state = run_recognize(sym, self.TEXT)
+        assert evaluate(sym, self.TEXT, state.bsrs, 0, 3000) == [3000]
+
+    def test_evaluate_left_recursive_tree(self):
+        sym = left_recursive_l(actions=False)
+        _, state = run_recognize(sym, self.TEXT)
+        (tree,) = evaluate(sym, self.TEXT, state.bsrs, 0, 3000)
+        for right in range(3000, 1, -1):
+            assert (tree.left, tree.right) == (0, right)
+            tree, token = tree.children
+            assert token == "a"
+        assert tree == TreeNode(sym.id, 0, 1, ("a",))
+
+    def test_count_deep_tuple(self):
+        sym = Elaborator(load_grammar("tuples.g")).start_symbol("AlphaTuples")
+        text = "(" + ",".join("a" * 600) + ")"
+        _, state = run_recognize(sym, text)
+        assert count_derivations(sym, text, state.bsrs, 0, len(text)) == (1, False)
 
 
 class TestTrees:
