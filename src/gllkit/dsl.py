@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .core import Applied, SymbolId, TokenName
@@ -28,8 +29,6 @@ from .engine import (
     token_symbol,
 )
 from .forest import PrecedenceFilter
-
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class GrammarError(Exception):
@@ -124,232 +123,235 @@ class GrammarAst:
     precedences: tuple[PrecDecl, ...]
     definitions: tuple[NtDef, ...]
 
+    @cached_property
+    def names(self) -> dict[str, Union[TokenDecl, NtDef]]:
+        """Each declared name to its first declaration, a token declaration
+        before a definition of the same name (which `validate` rejects)."""
+        index: dict[str, Union[TokenDecl, NtDef]] = {}
+        for decl in self.tokens + self.definitions:
+            index.setdefault(decl.name, decl)
+        return index
+
     def token_decl(self, name: str) -> Optional[TokenDecl]:
-        for t in self.tokens:
-            if t.name == name:
-                return t
-        return None
+        decl = self.names.get(name)
+        return decl if isinstance(decl, TokenDecl) else None
 
     def definition(self, name: str) -> Optional[NtDef]:
-        for d in self.definitions:
-            if d.name == name:
-                return d
-        return None
+        decl = self.names.get(name)
+        return decl if isinstance(decl, NtDef) else None
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "name" | "lit" | "set" | "directive" | punctuation itself
-    text: str
-    line: int
-    col: int
+# A token: (kind, text, line, column). The kind is "name", "lit", "set",
+# "directive", "end" or the punctuation character itself.
+_Token = tuple[str, str, int, int]
+
+# One match per token: the blanks and comments before it, then the token,
+# one alternative per kind. The last two alternatives are a character that
+# starts no token, which is an error (an unterminated literal or set, a bad
+# directive, or any other character), and the end of the text. So the
+# matches cover the whole text, and no error is skipped.
+_TOKEN_RE = re.compile(r"""
+    (?P<skip>(?:[ \t\r\n]|--[^\n]*)*)
+    (?: (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>[():,|])
+      | '(?P<lit>.)'
+      | (?P<set>\[[^\]]*\])
+      | (?P<directive>%[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<bad>.)
+      | \Z )
+""", re.VERBOSE | re.DOTALL)
+
+_LEX_ERRORS = {
+    "'": "unterminated character literal",
+    "[": "unterminated character set",
+    "%": "bad directive",
+}
 
 
-def _lex(text: str) -> list[_Tok]:
+def _lex(text: str) -> list[_Token]:
+    """Tokens of `text`, then an "end" token at the last token's position
+    (1:1 when there is none). Lines and columns count from 1; a newline
+    anywhere, also inside a literal or a set, starts a new line."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == "'":
-            if i + 2 >= n or text[i + 2] != "'":
-                raise GrammarError("unterminated character literal", line, col)
-            toks.append(_Tok("lit", text[i + 1], start_line, start_col))
-            i += 3
-            col += 3
-            continue
-        if c == "[":
-            j = text.find("]", i + 1)
-            if j < 0:
-                raise GrammarError("unterminated character set", line, col)
-            toks.append(_Tok("set", text[i + 1:j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c == "%":
-            m = NAME_RE.match(text, i + 1)
-            if not m:
-                raise GrammarError("bad directive", line, col)
-            toks.append(_Tok("directive", m.group(), start_line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = NAME_RE.match(text, i)
-        if m:
-            toks.append(_Tok("name", m.group(), start_line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if c in "():,|":
-            toks.append(_Tok(c, c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise GrammarError(f"unexpected character {c!r}", line, col)
+    append = toks.append
+    line, line_start, pos = 1, 0, 0  # line_start: offset of the line's first character
+    # findall, not finditer: it makes no match object per token
+    for skip, name, punct, lit, set_, directive, bad in _TOKEN_RE.findall(text):
+        if skip:
+            if "\n" in skip:
+                line += skip.count("\n")
+                line_start = pos + skip.rfind("\n") + 1
+            pos += len(skip)
+        if name:
+            append(("name", name, line, pos - line_start + 1))
+            pos += len(name)
+        elif punct:
+            append((punct, punct, line, pos - line_start + 1))
+            pos += 1
+        elif lit:
+            append(("lit", lit, line, pos - line_start + 1))
+            pos += 3
+            if lit == "\n":
+                line += 1
+                line_start = pos - 1
+        elif set_:
+            append(("set", set_[1:-1], line, pos - line_start + 1))
+            if "\n" in set_:
+                line += set_.count("\n")
+                line_start = pos + set_.rfind("\n") + 1
+            pos += len(set_)
+        elif directive:
+            append(("directive", directive[1:], line, pos - line_start + 1))
+            pos += len(directive)
+        elif bad:
+            message = _LEX_ERRORS.get(bad) or f"unexpected character {bad!r}"
+            raise GrammarError(message, line, pos - line_start + 1)
+        else:
+            break  # the end of the text
+    line, col = toks[-1][2:] if toks else (1, 1)
+    append(("end", "", line, col))
     return toks
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]):
+    """Recursive descent over the token list, which ends in an "end" token."""
+
+    def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.pos = 0
 
-    def peek(self, offset: int = 0) -> Optional[_Tok]:
-        i = self.pos + offset
-        return self.toks[i] if i < len(self.toks) else None
+    def error(self, tok: _Token, expected: str) -> GrammarError:
+        if tok[0] == "end":
+            return GrammarError("unexpected end of grammar", tok[2], tok[3])
+        return GrammarError(f"expected {expected}, found {tok[1]!r}", tok[2], tok[3])
 
-    def next(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1] if self.toks else _Tok("", "", 1, 1)
-            raise GrammarError("unexpected end of grammar", last.line, last.col)
+    def expect(self, kind: str) -> str:
+        """The text of the next token, which must be of `kind`."""
+        tok = self.toks[self.pos]
+        if tok[0] != kind:
+            raise self.error(tok, repr(kind))
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Tok:
-        tok = self.next()
-        if tok.kind != kind:
-            raise GrammarError(f"expected {kind!r}, found {tok.text!r}",
-                               tok.line, tok.col)
-        return tok
+        return tok[1]
 
     def parse(self) -> GrammarAst:
         tokens: list[TokenDecl] = []
         precs: list[PrecDecl] = []
         defs: list[NtDef] = []
-        while self.peek() is not None:
-            tok = self.peek()
-            if tok.kind == "directive":
-                if tok.text == "token":
+        toks = self.toks
+        while True:
+            kind, text, line, col = toks[self.pos]
+            if kind == "name":
+                defs.append(self.nt_def())
+            elif kind == "directive":
+                if text == "token":
                     tokens.append(self.token_decl())
-                elif tok.text in ("left", "right", "nonassoc"):
+                elif text in ("left", "right", "nonassoc"):
                     precs.append(self.prec_decl())
                 else:
-                    raise GrammarError(f"unknown directive %{tok.text}",
-                                       tok.line, tok.col)
-            elif tok.kind == "name":
-                defs.append(self.nt_def())
+                    raise GrammarError(f"unknown directive %{text}", line, col)
+            elif kind == "end":
+                return GrammarAst(tuple(tokens), tuple(precs), tuple(defs))
             else:
-                raise GrammarError(f"expected declaration, found {tok.text!r}",
-                                   tok.line, tok.col)
-        return GrammarAst(tuple(tokens), tuple(precs), tuple(defs))
+                raise self.error(toks[self.pos], "declaration")
 
     def token_decl(self) -> TokenDecl:
-        self.next()
-        name = self.expect("name").text
-        tok = self.next()
-        if tok.kind == "lit":
-            spec = PatternSpec("literal", tok.text)
-        elif tok.kind == "set":
-            spec = PatternSpec("set", tok.text)
-        elif tok.kind == "directive" and tok.text in ("alpha", "digit", "any"):
-            spec = PatternSpec("class", tok.text)
+        self.pos += 1
+        name = self.expect("name")
+        tok = self.toks[self.pos]
+        kind, text = tok[0], tok[1]
+        if kind == "lit":
+            spec = PatternSpec("literal", text)
+        elif kind == "set":
+            spec = PatternSpec("set", text)
+        elif kind == "directive" and text in ("alpha", "digit", "any"):
+            spec = PatternSpec("class", text)
         else:
-            raise GrammarError(f"expected token pattern, found {tok.text!r}",
-                               tok.line, tok.col)
+            raise self.error(tok, "token pattern")
+        self.pos += 1
         return TokenDecl(name, spec)
 
     def prec_decl(self) -> PrecDecl:
-        assoc = self.next().text
+        toks = self.toks
+        assoc = toks[self.pos][1]
+        self.pos += 1
         names = []
-        while self.peek() is not None and self.peek().kind == "lit":
-            names.append(f"'{self.next().text}'")
+        while toks[self.pos][0] == "lit":
+            names.append(f"'{toks[self.pos][1]}'")
+            self.pos += 1
         if not names:
-            tok = self.peek() or self.toks[-1]
-            raise GrammarError(f"%{assoc} needs at least one literal",
-                               tok.line, tok.col)
+            tok = toks[self.pos]
+            raise GrammarError(f"%{assoc} needs at least one literal", tok[2], tok[3])
         return PrecDecl(assoc, tuple(names))
 
     def _at_definition_header(self) -> bool:
-        """True iff the upcoming tokens form NAME [ ( ... ) ] ':'."""
-        if self.peek() is None or self.peek().kind != "name":
-            return False
-        nxt = self.peek(1)
-        if nxt is None:
-            return False
-        if nxt.kind == ":":
-            return True
-        if nxt.kind != "(":
-            return False
+        """True iff the name at the current token starts a definition
+        header, NAME [ ( ... ) ] ':'."""
+        toks = self.toks
+        i = self.pos + 1
+        kind = toks[i][0]
+        if kind != "(":
+            return kind == ":"
         depth = 0
-        i = 1
-        while True:
-            tok = self.peek(i)
-            if tok is None:
-                return False
-            if tok.kind == "(":
+        while kind != "end":
+            if kind == "(":
                 depth += 1
-            elif tok.kind == ")":
+            elif kind == ")":
                 depth -= 1
                 if depth == 0:
-                    after = self.peek(i + 1)
-                    return after is not None and after.kind == ":"
+                    return toks[i + 1][0] == ":"
             i += 1
+            kind = toks[i][0]
+        return False
 
     def nt_def(self) -> NtDef:
-        name = self.expect("name").text
+        toks = self.toks
+        name = self.expect("name")
         params: list[str] = []
-        if self.peek() is not None and self.peek().kind == "(":
-            self.next()
-            params.append(self.expect("name").text)
-            while self.peek() is not None and self.peek().kind == ",":
-                self.next()
-                params.append(self.expect("name").text)
+        if toks[self.pos][0] == "(":
+            self.pos += 1
+            params.append(self.expect("name"))
+            while toks[self.pos][0] == ",":
+                self.pos += 1
+                params.append(self.expect("name"))
             self.expect(")")
         self.expect(":")
         alternates = [self.alternate()]
-        while self.peek() is not None and self.peek().kind == "|":
-            self.next()
+        while toks[self.pos][0] == "|":
+            self.pos += 1
             alternates.append(self.alternate())
         return NtDef(name, tuple(params), tuple(alternates))
 
     def alternate(self) -> tuple:
+        toks = self.toks
         syms: list[SymRef] = []
         while True:
-            tok = self.peek()
-            if tok is None or tok.kind in ("|", "directive"):
-                break
-            if tok.kind == "lit":
-                syms.append(Lit(self.next().text))
-            elif tok.kind == "name":
-                if self._at_definition_header():
-                    break
+            kind = toks[self.pos][0]
+            if kind == "lit":
+                syms.append(Lit(toks[self.pos][1]))
+                self.pos += 1
+            elif kind == "name" and not self._at_definition_header():
                 syms.append(self.symref())
             else:
-                break
-        return tuple(syms)
+                return tuple(syms)
 
     def symref(self) -> SymRef:
-        tok = self.next()
-        if tok.kind == "lit":
-            return Lit(tok.text)
-        if tok.kind != "name":
-            raise GrammarError(f"expected symbol, found {tok.text!r}",
-                               tok.line, tok.col)
-        args: list[SymRef] = []
-        if self.peek() is not None and self.peek().kind == "(":
-            self.next()
+        toks = self.toks
+        tok = toks[self.pos]
+        if tok[0] == "lit":
+            self.pos += 1
+            return Lit(tok[1])
+        if tok[0] != "name":
+            raise self.error(tok, "symbol")
+        self.pos += 1
+        if toks[self.pos][0] != "(":
+            return Ref(tok[1])
+        self.pos += 1
+        args = [self.symref()]
+        while toks[self.pos][0] == ",":
+            self.pos += 1
             args.append(self.symref())
-            while self.peek() is not None and self.peek().kind == ",":
-                self.next()
-                args.append(self.symref())
-            self.expect(")")
-        return Ref(tok.text, tuple(args))
+        self.expect(")")
+        return Ref(tok[1], tuple(args))
 
 
 def parse_grammar(text: str) -> GrammarAst:
@@ -360,10 +362,9 @@ def parse_symref(text: str) -> SymRef:
     """Parse a start-symbol reference such as "CSV(alpha)"."""
     parser = _Parser(_lex(text))
     ref = parser.symref()
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise GrammarError(f"trailing input after symbol reference: {tok.text!r}",
-                           tok.line, tok.col)
+    kind, rest, line, col = parser.toks[parser.pos]
+    if kind != "end":
+        raise GrammarError(f"trailing input after symbol reference: {rest!r}", line, col)
     return ref
 
 
@@ -490,28 +491,29 @@ class Elaborator:
         return sym
 
     def resolve(self, ref: SymRef, env: Optional[dict] = None) -> Symbol:
-        env = env or {}
+        """The symbol `ref` names, where `env` binds the parameters in scope."""
         if isinstance(ref, Lit):
             return self.literal_symbol(ref.char)
-        if ref.name in env:
-            return env[ref.name]
-        decl = self.ast.token_decl(ref.name)
-        if decl is not None:
-            return self.declared_token_symbol(decl)
-        defn = self.ast.definition(ref.name)
-        if defn is None:
-            raise ValueError(f"unresolved symbol reference {ref.name!r}")
-        args = tuple(self.resolve(a, env) for a in ref.args)
-        return self.instantiate(defn, args)
+        name = ref.name
+        if env and name in env:
+            return env[name]
+        decl = self.ast.names.get(name)
+        if isinstance(decl, NtDef):
+            if not ref.args:
+                return self.instantiate(decl, ())
+            return self.instantiate(decl, tuple([self.resolve(a, env) for a in ref.args]))
+        if decl is None:
+            raise ValueError(f"unresolved symbol reference {name!r}")
+        return self.declared_token_symbol(decl)
 
     def instantiate(self, defn: NtDef, args: tuple) -> Nonterminal:
-        sid = Applied(defn.name, tuple(a.id for a in args))
+        sid = Applied(defn.name, tuple([a.id for a in args])) if args else Applied(defn.name)
         sym = self.registry.get(sid)
         if sym is None:
-            env = dict(zip(defn.params, args))
+            env = dict(zip(defn.params, args)) if args else None
+            resolve = self.resolve
             sym = lazy_nonterminal(sid, lambda: [
-                AltPlan(sid, tuple(self.resolve(s, env) for s in alt))
-                for alt in defn.alternates])
+                AltPlan(sid, [resolve(s, env) for s in alt]) for alt in defn.alternates])
             self.registry[sid] = sym
         return sym
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
-from .dsl import GrammarAst, Lit, Ref, SymRef, parse_symref, validate
+from .dsl import GrammarAst, Lit, Ref, SymRef, TokenDecl, parse_symref, validate
 from .engine import TokenPattern
 
 # A recognizer takes (input, position, continuation) and reports whether any
@@ -71,13 +71,14 @@ class NaiveInterpreter:
 
         return rec
 
-    def _declared(self, name: str) -> NaiveRecognizer:
+    def _declared(self, decl: TokenDecl) -> NaiveRecognizer:
+        name = decl.name
         if self.mode == "words":
             def rec(inp, k: int, c) -> bool:
                 return k < len(inp) and inp[k] == name and c(k + 1)
 
             return rec
-        classifier = self.ast.token_decl(name).pattern.classifier()
+        classifier = decl.pattern.classifier()
 
         def rec(inp, k: int, c) -> bool:
             return k < len(inp) and classifier(inp[k]) is not None and c(k + 1)
@@ -90,13 +91,13 @@ class NaiveInterpreter:
             return (("lit", ref.char), self._literal(ref.char))
         if ref.name in env:
             return env[ref.name]
-        if self.ast.token_decl(ref.name) is not None:
-            return (("tok", ref.name), self._declared(ref.name))
-        defn = self.ast.definition(ref.name)
-        if defn is None:
+        decl = self.ast.names.get(ref.name)
+        if decl is None:
             raise ValueError(f"unresolved symbol reference {ref.name!r}")
+        if isinstance(decl, TokenDecl):
+            return (("tok", ref.name), self._declared(decl))
         args = [self._resolve(a, env) for a in ref.args]
-        return self._instantiate(defn, args)
+        return self._instantiate(decl, args)
 
     def _instantiate(self, defn, args: list[tuple]) -> tuple[tuple, NaiveRecognizer]:
         key = ("nt", defn.name, tuple(k for k, _ in args))

@@ -67,6 +67,14 @@ class TestParsing:
         assert [d.name for d in ast.definitions] == ["S", "Pair"]
         assert ast.definitions[0].alternates == ((Ref("Pair", (Ref("S"), Ref("S"))),),)
 
+    def test_name_index(self):
+        ast = parse_grammar("%token t 'a'\nS: t\nS: 'b'\nt: 'c'\n")
+        assert ast.names is ast.names  # built once
+        assert ast.names == {"t": ast.tokens[0], "S": ast.definitions[0]}
+        assert ast.token_decl("t") is ast.tokens[0] and ast.definition("t") is None
+        assert ast.definition("S") is ast.definitions[0] and ast.token_decl("S") is None
+        assert ast.definition("T") is None and ast.token_decl("T") is None
+
     def test_syntax_error_position(self):
         with pytest.raises(GrammarError) as err:
             parse_grammar("X: )\n")
@@ -166,9 +174,9 @@ class TestElaboration:
 
 
 token_patterns = st.one_of(
-    st.sampled_from("abc,+").map(lambda c: PatternSpec("literal", c)),
+    st.sampled_from("abc,+\n").map(lambda c: PatternSpec("literal", c)),
     st.sampled_from(["alpha", "digit", "any"]).map(lambda c: PatternSpec("class", c)),
-    st.sampled_from(["a-c", "xy", "0-9_"]).map(lambda s: PatternSpec("set", s)))
+    st.sampled_from(["a-c", "xy", "0-9_", "x\ny"]).map(lambda s: PatternSpec("set", s)))
 name_st = st.sampled_from(["A", "B", "C_d", "xs"])
 
 
@@ -181,7 +189,7 @@ def grammar_asts(draw):
     def_names = draw(st.lists(st.sampled_from(["D1", "D2", "D3"]),
                               min_size=1, max_size=3, unique=True))
     symrefs = st.one_of(
-        st.sampled_from("ab,").map(Lit),
+        st.sampled_from("ab,\n").map(Lit),
         st.sampled_from(def_names + token_names).map(lambda n: Ref(n)))
     defs = []
     for name in def_names:
@@ -202,3 +210,100 @@ class TestRoundTrip:
     @given(grammar_asts())
     def test_render_then_parse_is_identity(self, ast):
         assert parse_grammar(render_grammar(ast)) == ast
+
+
+def token_boundaries(text: str) -> list[int]:
+    """Every position of rendered grammar text that lies between two tokens
+    (or whitespace), found without the lexer: literals and sets are skipped
+    whole, names and directives as runs of name characters."""
+    cuts, i = [0], 0
+    while i < len(text):
+        if text[i] == "'":
+            i += 3
+        elif text[i] == "[":
+            i = text.index("]", i) + 1
+        elif text[i] == "%" or text[i].isalnum() or text[i] == "_":
+            i += 1
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+        else:
+            i += 1
+        cuts.append(i)
+    return cuts
+
+
+# blanks and comments; each comment ends with its newline, so no padding
+# before the bad character can hide it
+padding = st.lists(st.sampled_from([" ", "\t", "\n", "-- '[%?\n"]), max_size=4).map("".join)
+
+
+class TestErrorPositions:
+    """Each kind of GrammarError, with its message and (line, column)."""
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("X: 'ab\n", "unterminated character literal", 1, 4),
+        ("X: 'a", "unterminated character literal", 1, 4),
+        ("%token t [abc\n", "unterminated character set", 1, 10),
+        ("%1 X\n", "bad directive", 1, 1),
+        ("X: 'a' %", "bad directive", 1, 8),
+        ("X: 'a' ?\n", "unexpected character '?'", 1, 8),
+        ("X:\t\t'a' ?\n", "unexpected character '?'", 1, 9),
+        ("-- c ?\nX: 'a' -- ok\n  ; \n", "unexpected character ';'", 3, 3),
+        ("X: 'a' -- c\n\t\t#\n", "unexpected character '#'", 2, 3),
+        ("X: 'a'\r\n  ?", "unexpected character '?'", 2, 3),
+        ("X: - 'a'\n", "unexpected character '-'", 1, 4),
+        ("%token t", "unexpected end of grammar", 1, 8),
+        ("X(a, b", "unexpected end of grammar", 1, 6),
+        ("X: P(Q(", "unexpected end of grammar", 1, 7),
+        ("\n\n  X", "unexpected end of grammar", 3, 3),
+        ("X 'a'\n", "expected ':', found 'a'", 1, 3),
+        ("X(a b): 'a'\n", "expected ')', found 'b'", 1, 5),
+        ("%token 'a' 'b'\n", "expected 'name', found 'a'", 1, 8),
+        ("%token t %foo\n", "expected token pattern, found 'foo'", 1, 10),
+        ("X: )\n", "expected declaration, found ')'", 1, 4),
+        ("'a'", "expected declaration, found 'a'", 1, 1),
+        ("%foo 'a'\n", "unknown directive %foo", 1, 1),
+        ("%left X: 'a'\n", "%left needs at least one literal", 1, 7),
+        ("X: 'a'\n%right", "%right needs at least one literal", 2, 1),
+    ])
+    def test_parse_grammar(self, text, message, line, column):
+        with pytest.raises(GrammarError) as err:
+            parse_grammar(text)
+        assert (str(err.value), err.value.line, err.value.column) == \
+            (f"{line}:{column}: {message}", line, column)
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("CSV(alpha) extra", "trailing input after symbol reference: 'extra'", 1, 12),
+        ("CSV(alpha", "unexpected end of grammar", 1, 5),
+        ("", "unexpected end of grammar", 1, 1),
+        ("|", "expected symbol, found '|'", 1, 1),
+    ])
+    def test_parse_symref(self, text, message, line, column):
+        with pytest.raises(GrammarError) as err:
+            parse_symref(text)
+        assert (str(err.value), err.value.line, err.value.column) == \
+            (f"{line}:{column}: {message}", line, column)
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("%token x [a\nb]\nX: ?", 3, 4),
+        ("%token x [a\n\nb] ?", 3, 4),
+        ("X: '\n'\nY: ?", 3, 4),
+        ("X: '\n' ?", 2, 3),
+    ])
+    def test_newline_inside_set_or_literal_starts_a_line(self, text, line, column):
+        with pytest.raises(GrammarError) as err:
+            parse_grammar(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @given(grammar_asts(), st.data())
+    def test_inserted_character_is_located(self, ast, data):
+        text = render_grammar(ast)
+        at = data.draw(st.sampled_from(token_boundaries(text)))
+        before = text[:at] + data.draw(padding)
+        bad = before + "?" + data.draw(padding) + data.draw(st.sampled_from(["", "-- ]'"]))
+        with pytest.raises(GrammarError) as err:
+            parse_grammar(bad + text[at:])
+        line = before.count("\n") + 1
+        column = len(before) - before.rfind("\n")
+        assert (str(err.value), err.value.line, err.value.column) == \
+            (f"{line}:{column}: unexpected character '?'", line, column)
