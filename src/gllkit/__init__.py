@@ -11,7 +11,6 @@ from .core import (
     TokenName,
     render_id,
     render_slot,
-    slot_advance,
 )
 from .dsl import Elaborator, GrammarAst, elaborate, parse_grammar, render_grammar, validate
 from .engine import (
@@ -52,5 +51,5 @@ __all__ = [
     "extract_errors", "extract_trees", "lazy_nonterminal",
     "naive_run", "naive_token", "nonterminal_symbol", "parse_grammar",
     "render_grammar", "render_id", "render_slot", "run_prefix",
-    "run_recognize", "slot_advance", "token_symbol", "validate",
+    "run_recognize", "token_symbol", "validate",
 ]

@@ -1,8 +1,8 @@
 """Identifiers, slots, descriptors and forest-edge values shared by every module.
 
-All identifier-like values are interned: structurally equal ids and slots are
-the same object, so they hash and compare by identity, in C, on the engine's
-hot membership checks.
+Symbol ids are interned: structurally equal ids are the same object. Slots are
+made once per grammar position by their alternate's plan. So both hash and
+compare by identity, in C, on the engine's hot membership checks.
 """
 from __future__ import annotations
 
@@ -76,57 +76,40 @@ def render_id(sid: SymbolId) -> str:
 
 
 class Slot:
-    """A grammar position: one alternate of `lhs` with a dot splitting pre/post."""
+    """A grammar position X ::= pre . post: the dot after i symbols of one
+    alternate, its plan. Each AltPlan builds its slots once, so a slot is
+    known by identity; lhs, pre and post are derived for rendering and dumps."""
 
-    __slots__ = ("lhs", "pre", "post", "_rendered")
+    __slots__ = ("plan", "i", "_rendered")
 
-    lhs: SymbolId
-    pre: tuple[SymbolId, ...]
-    post: tuple[SymbolId, ...]
-
-    def __new__(cls, lhs: SymbolId, pre=(), post=()) -> "Slot":
-        pre = tuple(pre)
-        post = tuple(post)
-        key = (lhs, pre, post)
-        hit = _SLOT_INTERN.get(key)
-        if hit is not None:
-            return hit
-        self = object.__new__(cls)
-        self.lhs = lhs
-        self.pre = pre
-        self.post = post
+    def __init__(self, plan, i: int) -> None:
+        self.plan = plan
+        self.i = i
         self._rendered = None
-        _SLOT_INTERN[key] = self
-        return self
+
+    @property
+    def lhs(self) -> SymbolId:
+        return self.plan.lhs
+
+    @property
+    def pre(self) -> tuple[SymbolId, ...]:
+        return tuple([s.id for s in self.plan.symbols[:self.i]])
+
+    @property
+    def post(self) -> tuple[SymbolId, ...]:
+        return tuple([s.id for s in self.plan.symbols[self.i:]])
 
     def __repr__(self) -> str:
         return f"Slot({render_slot(self)})"
 
 
-_SLOT_INTERN: dict = {}
-
-
-def slot_advance(slot: Slot) -> Slot:
-    """Move the dot one symbol to the right."""
-    if not slot.post:
-        raise ValueError(f"cannot advance past the end of alternate: {render_slot(slot)}")
-    return Slot(slot.lhs, slot.pre + (slot.post[0],), slot.post[1:])
-
-
-def slot_retreat(slot: Slot) -> Slot:
-    """Move the dot one symbol to the left; a slot at the start stays put."""
-    if not slot.pre:
-        return slot
-    return Slot(slot.lhs, slot.pre[:-1], (slot.pre[-1],) + slot.post)
-
-
 def render_slot(slot: Slot) -> str:
     """Textual form "lhs ::= pre . post", deterministic and grammar-injective."""
     if slot._rendered is None:
-        parts = [render_id(slot.lhs), "::="]
-        parts.extend(render_id(s) for s in slot.pre)
-        parts.append(".")
-        parts.extend(render_id(s) for s in slot.post)
+        plan = slot.plan
+        parts = [render_id(plan.lhs), "::="]
+        parts.extend(render_id(s.id) for s in plan.symbols)
+        parts.insert(2 + slot.i, ".")
         slot._rendered = " ".join(parts)
     return slot._rendered
 

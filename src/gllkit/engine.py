@@ -51,9 +51,7 @@ class AltPlan:
                  action=None, action_kind: str = "plain"):
         self.lhs = lhs
         self.symbols = tuple(symbols)
-        ids = tuple(s.id for s in self.symbols)
-        n = len(ids)
-        self.slots = tuple(Slot(lhs, ids[:i], ids[i:]) for i in range(n + 1))
+        self.slots = tuple([Slot(self, i) for i in range(len(self.symbols) + 1)])
         self.action = action
         self.action_kind = action_kind
 
@@ -95,14 +93,25 @@ class Nonterminal(Symbol):
         if (plans is None) == (thunk is None):
             raise ValueError("exactly one of plans/thunk required")
         self.id = id
-        self._plans = None if plans is None else tuple(plans)
+        self._plans = None if plans is None else _share_duplicates(plans)
         self._thunk = thunk
 
     def plans(self) -> tuple[AltPlan, ...]:
         if self._plans is None:
-            self._plans = tuple(self._thunk())
+            self._plans = _share_duplicates(self._thunk())
             self._thunk = None
         return self._plans
+
+
+def _share_duplicates(plans: Iterable[AltPlan]) -> tuple[AltPlan, ...]:
+    """The plans, where a duplicate alternate (the symbol ids of an earlier
+    one) takes the earlier one's slot chain, so that it starts once."""
+    plans = tuple(plans)
+    chains: dict = {}
+    for plan in plans:
+        key = tuple([s.id for s in plan.symbols])
+        plan.slots = chains.setdefault(key, plan.slots)
+    return plans
 
 
 def token_symbol(pattern: TokenPattern) -> Token:
@@ -148,23 +157,25 @@ def lazy_nonterminal(sid: SymbolId, thunk: Callable[[], Iterable[AltPlan]]) -> N
 # BSR element of the same (slot, l, r), so it is new exactly when that forest
 # key is new. Slot-0 descriptors are queued only when descend starts a new
 # commencement: an empty alternate's is gated on its own forest key, a
-# non-empty one's on state.starts (duplicate alternates share their slots).
+# non-empty one's on state.starts (duplicate alternates share a slot chain).
 
 
 def _alternates(state: ParseState, sym: Nonterminal, l: int) -> None:
     """Queue the slot-0 descriptor of every alternate of sym at extent l."""
-    if sym._plans is None:
-        stats = state.stats
-        stats.instantiations += 1
-        budget = state.instantiation_budget
-        if budget is not None and stats.instantiations > budget:
-            raise ResourceExhausted(
-                f"instantiation budget of {budget} exhausted", state)
-    plans = sym.plans()
+    bsrs = state.bsrs
+    plans = bsrs.alternates.get(sym.id)
+    if plans is None:  # the first symbol with this id gives the run its plans
+        if sym._plans is None:
+            stats = state.stats
+            stats.instantiations += 1
+            budget = state.instantiation_budget
+            if budget is not None and stats.instantiations > budget:
+                raise ResourceExhausted(
+                    f"instantiation budget of {budget} exhausted", state)
+        plans = bsrs.alternates[sym.id] = sym.plans()
     if state.reverse_alternates:
         plans = tuple(reversed(plans))
     starts = state.starts
-    bsrs = state.bsrs
     for plan in plans:
         slot = plan.slots[0]
         if plan.symbols:

@@ -150,7 +150,7 @@ def evaluate(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,
 
     def span(sym, l, r, visited):
         out: list = []
-        for plan in sym.plans():
+        for plan in bsrs.alternates.get(sym.id, ()):
             for bounds in enumerate_splits(plan.slots, l, r, bsrs):
                 child_lists = []
                 for i, child in enumerate(plan.symbols):
@@ -199,7 +199,7 @@ def count_derivations(sym: Symbol, input, bsrs: BsrSet, l: int, r: int) -> Deriv
 
     def span(sym, l, r, visited):
         total = 0
-        for plan in sym.plans():
+        for plan in bsrs.alternates.get(sym.id, ()):
             n = len(plan.symbols)
             if n == 0:
                 total += len(enumerate_splits(plan.slots, l, r, bsrs))
@@ -257,7 +257,7 @@ def iter_trees(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,
         return
     if sym.id in visited:
         return
-    for plan in sym.plans():
+    for plan in bsrs.alternates.get(sym.id, ()):
         for bounds in enumerate_splits(plan.slots, l, r, bsrs):
             factories = [
                 (lambda child=child, cl=bounds[i], cr=bounds[i + 1]:

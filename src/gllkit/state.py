@@ -21,7 +21,6 @@ from .core import (
     TokenName,
     bsr_sort_key,
     render_slot,
-    slot_retreat,
 )
 
 
@@ -147,13 +146,17 @@ class BsrSet:
     derived, not stored: l when i <= 1, r-1 after a token, else each k that is
     a right extent of (slot_{i-1}, l) and a left extent of (symbol i-1, r).
     Deriving is valid only on a drained run; read a tripped run's length alone.
+    `alternates` maps each nonterminal id the run started to the plans of the
+    first symbol with that id it met; every key's slot is in them, so the
+    forest walk reads them, not a child's own: it may be another object.
     """
 
-    __slots__ = ("_rights", "_prel", "size", "nkeys")
+    __slots__ = ("_rights", "_prel", "alternates", "size", "nkeys")
 
     def __init__(self, prel: ExtentRelation) -> None:
         self._rights: dict[tuple[Slot, int], set[int]] = {}
         self._prel = prel
+        self.alternates: dict[SymbolId, tuple] = {}
         self.size = 0
         self.nkeys = 0
 
@@ -192,12 +195,14 @@ class BsrSet:
         """The pivots of the elements under key (slot, l, r), ascending."""
         if not self.has_key(slot, l, r):
             return []
-        if len(slot.pre) <= 1:
+        i = slot.i
+        if i <= 1:
             return [l]
-        last = slot.pre[-1]
+        plan = slot.plan
+        last = plan.symbols[i - 1].id
         if type(last) is TokenName:
             return [r - 1]
-        return sorted(self._rights[(slot_retreat(slot), l)]
+        return sorted(self._rights[(plan.slots[i - 1], l)]
                       & self._prel.lefts(last, r))
 
     def __len__(self) -> int:

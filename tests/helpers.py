@@ -6,6 +6,7 @@ import random
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
+from gllkit.core import render_slot
 from gllkit.dsl import GrammarAst, Lit, Ref, parse_grammar
 from gllkit.engine import Symbol, Token
 
@@ -49,6 +50,17 @@ def random_grammar(rng: random.Random, max_nts: int = 4, max_alts: int = 3,
 
 def random_input(rng: random.Random, max_len: int = 8, tokens: str = "ab") -> str:
     return "".join(rng.choice(tokens) for _ in range(rng.randint(0, max_len)))
+
+
+def rendered_state(state) -> tuple:
+    """uset, grel, prel and the forest with every slot rendered, so that runs
+    on separate elaborations, which make separate slots, compare equal."""
+    def text(t):
+        return t if t is None else (render_slot(t[0]),) + tuple(t[1:])
+    return (frozenset(map(text, state.uset)),
+            frozenset((c, text(cont)) for c, cont in state.grel.pairs()),
+            state.prel.snapshot(),
+            frozenset(map(text, state.bsrs)))
 
 
 def nullable_names(ast: GrammarAst) -> set[str]:

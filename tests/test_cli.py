@@ -139,6 +139,23 @@ class TestBsr:
         assert set(element["slot"]) == {"lhs", "pre", "post"}
         assert element["slot"]["lhs"] == {
             "nt": "CSV", "args": [{"token": "alpha"}]}
+        # lhs, pre and post of each element spell its slot as the text dump does
+        _, text, _ = run_cli(capsys, "bsr", "--grammar", g("csv.g"),
+                             "--start", "CSV(alpha)", "--text", "a")
+        rendered = [" ".join([json_id(e["slot"]["lhs"]), "::=",
+                              *map(json_id, e["slot"]["pre"]), ".",
+                              *map(json_id, e["slot"]["post"])])
+                    + f", {e['l']}, {e['k']}, {e['r']}" for e in doc["elements"]]
+        assert rendered == text.splitlines()[:-1]
+
+
+def json_id(sid):
+    """render_id of a symbol id in its `bsr --format json` form."""
+    if "token" in sid:
+        name = sid["token"]
+        return name if name.startswith("'") else "%" + name
+    args = ",".join(map(json_id, sid["args"]))
+    return f"{sid['nt']}({args})" if args else sid["nt"]
 
 
 class TestParse:

@@ -1,15 +1,13 @@
-"""Identifier and slot behavior: interning, advancing, rendering."""
-import pytest
+"""Identifier and slot behavior: interning, slot chains, rendering."""
 from hypothesis import example, given, strategies as st
 
 from gllkit.core import (
     Applied,
-    Slot,
     TokenName,
     render_id,
     render_slot,
-    slot_advance,
 )
+from gllkit.engine import AltPlan, Nonterminal, TokenPattern, nonterminal_symbol, token_symbol
 
 names = st.text(alphabet="abcXYZ_", min_size=1, max_size=4)
 
@@ -49,47 +47,48 @@ E = Applied("E")
 A = TokenName("'a'")
 
 
+def symbol(sid):
+    """A symbol with the given id: a token that matches nothing, or a
+    nonterminal without alternates."""
+    if isinstance(sid, TokenName):
+        return token_symbol(TokenPattern(lambda t: None, sid.name))
+    return Nonterminal(sid, plans=())
+
+
+def plan(lhs, ids):
+    """An alternate of lhs whose symbols have the given ids."""
+    return AltPlan(lhs, [symbol(sid) for sid in ids])
+
+
 class TestSlots:
-    def test_advance_moves_dot_right(self):
-        s = Slot(E, (), (E, E, E))
-        assert slot_advance(s) == Slot(E, (E,), (E, E))
-
-    def test_advance_to_end(self):
-        s = Slot(E, (E, E), (E,))
-        assert slot_advance(s) == Slot(E, (E, E, E), ())
-
-    def test_advance_over_token(self):
-        csv = Applied("CSV", (TokenName("x"),))
-        comma = TokenName("','")
-        s = Slot(csv, (csv,), (comma, csv))
-        assert slot_advance(s) == Slot(csv, (csv, comma), (csv,))
-
-    def test_advance_rejects_empty_post(self):
-        with pytest.raises(ValueError):
-            slot_advance(Slot(E, (E,), ()))
-
     def test_render(self):
-        assert render_slot(Slot(E, (E,), (E, E))) == "E ::= E . E E"
-        assert render_slot(Slot(E, (), ())) == "E ::= ."
+        assert render_slot(plan(E, (E, E, E)).slots[1]) == "E ::= E . E E"
+        assert render_slot(plan(E, ()).slots[0]) == "E ::= ."
         csv = Applied("CSV", (TokenName("a"),))
-        got = render_slot(Slot(csv, (), (csv, TokenName("comma"), csv)))
+        got = render_slot(plan(csv, (csv, TokenName("comma"), csv)).slots[0])
         assert got == "CSV(%a) ::= . CSV(%a) %comma CSV(%a)"
 
     @given(st.lists(sym_ids(1), max_size=4))
     def test_full_advance_reaches_end(self, symbols):
         symbols = tuple(symbols)
-        s = Slot(E, (), symbols)
-        for _ in range(len(symbols)):
-            s = slot_advance(s)
-        assert s.post == () and s.pre == symbols
+        slots = plan(E, symbols).slots
+        assert [s.i for s in slots] == list(range(len(symbols) + 1))
+        assert all(s.pre + s.post == symbols for s in slots)
+        assert slots[-1].post == () and slots[-1].pre == symbols
 
     @given(st.lists(sym_ids(1), max_size=3), st.lists(sym_ids(1), max_size=3))
     @example(pre=[TokenName("X"), TokenName("X")], post=[TokenName("X"), Applied("X")])
     def test_render_is_injective(self, pre, post):
-        a = Slot(E, tuple(pre), tuple(post))
-        b = Slot(E, tuple(post), tuple(pre))
-        if a != b:
+        a = plan(E, pre + post).slots[len(pre)]
+        b = plan(E, post + pre).slots[len(post)]
+        if (a.pre, a.post) != (b.pre, b.post):
             assert render_slot(a) != render_slot(b)
 
     def test_interning(self):
-        assert Slot(E, (E,), (A,)) is Slot(E, (E,), (A,))
+        """Duplicate alternates of one nonterminal share one slot chain."""
+        a = symbol(A)
+        first, second, empty = nonterminal_symbol(
+            "E", (), [((a,),), ((a,),), ((),)]).plans()
+        assert second.slots is first.slots
+        assert empty.slots is not first.slots
+        assert first.slots[1].plan is first and first.slots[1].i == 1

@@ -13,7 +13,6 @@ from gllkit.core import (
     Applied,
     Commencement,
     Descriptor,
-    Slot,
     TokenName,
     render_slot,
 )
@@ -33,7 +32,8 @@ from gllkit.engine import (
 )
 from gllkit.state import ParseState, ResourceExhausted
 
-from helpers import GRAMMARS, load_grammar, random_grammar, random_input
+from helpers import (GRAMMARS, load_grammar, random_grammar, random_input,
+                     rendered_state)
 from gllkit.dsl import Elaborator, parse_grammar
 
 
@@ -283,7 +283,7 @@ class TestInvariants:
         for b in state.bsrs:
             if not b.slot.pre:
                 continue
-            before = Slot(b.slot.lhs, b.slot.pre[:-1], (b.slot.pre[-1],) + b.slot.post)
+            before = b.slot.plan.slots[b.slot.i - 1]
             assert Descriptor(before, b.left, b.pivot) in state.uset
             last = b.slot.pre[-1]
             if isinstance(last, TokenName):
@@ -292,13 +292,12 @@ class TestInvariants:
                 assert b.right in state.prel.extents_for(Commencement(last, b.pivot))
 
     def test_schedule_and_alternate_order_do_not_matter(self):
-        base = run_recognize(e_grammar(), "aaa")[1]
+        """Each run elaborates afresh, so the states are compared with their
+        slots rendered."""
+        base = rendered_state(run_recognize(e_grammar(), "aaa")[1])
         for kwargs in ({"lifo": True}, {"reverse_alternates": True}):
             other = run_recognize(e_grammar(), "aaa", **kwargs)[1]
-            assert frozenset(other.uset) == frozenset(base.uset)
-            assert other.grel.snapshot() == base.grel.snapshot()
-            assert other.prel.snapshot() == base.prel.snapshot()
-            assert other.bsrs.snapshot() == base.bsrs.snapshot()
+            assert rendered_state(other) == base
 
 
 def fresh_start(grammar_file, start):
@@ -512,6 +511,47 @@ class TestMemory:
         assert state.stats.descriptors_processed == 5916
         assert peak < 3 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
+    def test_slots_are_freed_with_their_grammar(self):
+        """A slot is a position in its plan, and no table keeps it: once a
+        tripped run and its symbol are dropped, every slot it made is freed.
+        A fresh process keeps other tests' garbage off this test's clock."""
+        env = dict(os.environ, PYTHONPATH=str(GRAMMARS.parent / "src"))
+        done = subprocess.run([sys.executable, "-c", SLOT_PROBE],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        tripped, before, after = done.stdout.split()
+        assert tripped == "True" and int(after) <= int(before), done.stdout
+
+
+# Prints whether a run of anbncn.g (renamed, so that it shares no ids with
+# another grammar) trips at instantiation budget 200, and the number of live
+# slots before the run and after its symbol is dropped.
+SLOT_PROBE = """
+import gc
+from gllkit.core import Slot
+from gllkit.dsl import Elaborator, parse_grammar
+from gllkit.engine import run_recognize
+from gllkit.state import ResourceExhausted
+
+def live_slots():
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if type(o) is Slot)
+
+before = live_slots()
+sym = Elaborator(parse_grammar(
+    "Go: Fz('a', 'b', 'c')\\n"
+    "Fz(x, y, z): Fz(Sq(x, 'a'), Sq(y, 'b'), Sq(z, 'c')) | x y z\\n"
+    "Sq(p, q): p q\\n")).start_symbol("Go")
+try:
+    run_recognize(sym, "aabbcc", instantiation_budget=200)
+    tripped = False
+except ResourceExhausted:
+    tripped = True
+del sym
+print(tripped, before, live_slots())
+"""
+
 
 class TestTokenSymbols:
     def test_classifier_match_and_value(self):
@@ -531,7 +571,6 @@ class TestTokenSymbols:
         makes one element and queues one descriptor, else it records the
         failure at that slot."""
         a = char_token("a")
-        start_slot = Slot(START_ID, (), (a.id,))
         accepted, state = run_recognize(a, "a")
         assert accepted
         assert bsr_tuples(state) == {("__START ::= 'a' .", 0, 0, 1)}
@@ -539,4 +578,6 @@ class TestTokenSymbols:
         assert len(state.grel) == 0
         accepted, state = run_recognize(a, "b")
         assert not accepted and len(state.bsrs) == 0
-        assert (state.failures.position, state.failures.slots) == (0, {start_slot})
+        (slot,) = state.failures.slots
+        assert state.failures.position == 0 and slot.i == 0
+        assert slot.lhs is START_ID and slot.post == (a.id,)

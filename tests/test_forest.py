@@ -5,12 +5,13 @@ from collections import Counter
 
 import pytest
 
-from gllkit.core import Applied, Commencement, Slot, TokenName
+from gllkit.core import Applied, Commencement, Slot, TokenName, render_slot
 from gllkit.dsl import Elaborator, parse_grammar
 from gllkit.engine import (
     AltPlan,
     Nonterminal,
     char_token,
+    nonterminal_symbol,
     run_recognize,
     TokenPattern,
 )
@@ -159,6 +160,40 @@ class TestCounting:
         sym = elab.start_symbol("Expr")
         _, state = run_recognize(sym, "a+")
         assert count_derivations(sym, "a+", state.bsrs, 0, 2).value == 0
+
+
+def m_twice(shared: bool):
+    """S: T M | M | M M, T: (empty), M: 'a' | T 'a', where the first M
+    of S's first and third alternates is built as a second object for id M
+    unless shared."""
+    a = char_token("a")
+    t = nonterminal_symbol("T", [], [((),)])
+    m = nonterminal_symbol("M", [], [((a,),), ((t, a),)])
+    again = m if shared else nonterminal_symbol("M", [], [((a,),), ((t, a),)])
+    return nonterminal_symbol("S", [], [((t, again),), ((m,),), ((m, again),)])
+
+
+class TestOneIdTwoObjects:
+    """Symbol objects that share an id are one nonterminal: a run starts the
+    plans of the first it meets, and the forest walk reads those for all."""
+
+    @pytest.mark.parametrize("text,count", [("a", 4), ("aa", 4)])
+    def test_walks_like_one_object(self, text, count):
+        walked = []
+        for shared in (True, False):
+            sym = m_twice(shared)
+            accepted, state = run_recognize(sym, text)
+            n = len(text)
+            walked.append((
+                accepted,
+                [(render_slot(b.slot), b.left, b.pivot, b.right)
+                 for b in state.bsrs.sorted_elements()],
+                count_derivations(sym, text, state.bsrs, 0, n).value,
+                len(evaluate(sym, text, state.bsrs, 0, n)),
+                [t.render() for t in extract_trees(sym, text, state.bsrs)]))
+        assert walked[1] == walked[0]
+        accepted, _, counted, evaluated, trees = walked[1]
+        assert accepted and counted == evaluated == len(trees) == count
 
 
 SCHEDULES = ({}, {"lifo": True}, {"reverse_alternates": True})

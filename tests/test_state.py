@@ -6,25 +6,23 @@ from gllkit.core import (
     Commencement,
     ContinuationId,
     Descriptor,
-    Slot,
     TokenName,
     bsr_sort_key,
     render_slot,
 )
 from gllkit.dsl import Elaborator
-from gllkit.engine import AltPlan, nonterminal_symbol, run_recognize
+from gllkit.engine import run_recognize
 from gllkit.state import ParseState
 
 from helpers import load_grammar
 
 E = Applied("E")
 A = TokenName("'a'")
-S0 = Slot(E, (), (E, E, E))
-S1 = Slot(E, (E,), (E, E))
-S2 = Slot(E, (E, E), (E,))
-S3 = Slot(E, (E, E, E), ())
-E_SYM = nonterminal_symbol("E", (), [((),)])
-PLAN = AltPlan(E, (E_SYM, E_SYM, E_SYM))  # E ::= E E E, slots S0..S3
+# E: E E E | 'a' |, elaborated once: a slot is a position in one plan, so
+# every run below shares these slots.
+E_SYM = Elaborator(load_grammar("e.g")).start_symbol("E")
+PLAN, _, EMPTY = E_SYM.plans()  # E ::= E E E, slots S0..S3
+S0, S1, S2, S3 = PLAN.slots
 
 
 def fresh(n=4):
@@ -33,7 +31,7 @@ def fresh(n=4):
 
 def e_run(text):
     """The final state of recognizing text with E: E E E | 'a' |."""
-    return run_recognize(Elaborator(load_grammar("e.g")).start_symbol("E"), text)[1]
+    return run_recognize(E_SYM, text)[1]
 
 
 class TestDescriptorSet:
@@ -159,14 +157,14 @@ class TestExtentRelation:
         assert len(prel) == 3 == len(prel.snapshot())
 
 
-X = Applied("Expr")
-PLUS = TokenName("'+'")
+EXPR = Elaborator(load_grammar("expr.g")).start_symbol("Expr")
+# Expr ::= . Expr '+' Expr, Expr ::= Expr . '+' Expr, ... Expr ::= Expr '+' Expr .
+SUM = EXPR.plans()[0].slots
 
 
 def expr_run(text):
     """The final state of recognizing text with Expr: Expr '+' Expr | 'a'."""
-    start = Elaborator(load_grammar("expr.g")).start_symbol("Expr")
-    return run_recognize(start, text)[1]
+    return run_recognize(EXPR, text)[1]
 
 
 class TestBsrSet:
@@ -179,22 +177,22 @@ class TestBsrSet:
 
     def test_pivots_after_a_nonterminal_token_and_first_symbol(self):
         bsrs = expr_run("a+a+a").bsrs
-        assert bsrs.pivots(Slot(X, (X, PLUS, X), ()), 0, 5) == [2, 4]
-        assert bsrs.pivots(Slot(X, (X, PLUS), (X,)), 0, 4) == [3]
-        assert bsrs.pivots(Slot(X, (X,), (PLUS, X)), 0, 3) == [0]
+        assert bsrs.pivots(SUM[3], 0, 5) == [2, 4]
+        assert bsrs.pivots(SUM[2], 0, 4) == [3]
+        assert bsrs.pivots(SUM[1], 0, 3) == [0]
 
     def test_pivots_empty(self):
         """[] for a key the run never made."""
         state = e_run("aa")
         assert state.bsrs.pivots(S3, 0, 3) == []
         assert state.bsrs.pivots(S3, 2, 1) == []
-        assert expr_run("a+a").bsrs.pivots(Slot(X, (X, PLUS, X), ()), 0, 2) == []
+        assert expr_run("a+a").bsrs.pivots(SUM[3], 0, 2) == []
 
     def test_single_pivot(self):
         """An empty alternate's element has its one pivot at its extent."""
         bsrs = e_run("aa").bsrs
         for l in range(3):
-            assert bsrs.pivots(Slot(E, (), ()), l, l) == [l]
+            assert bsrs.pivots(EMPTY.slots[0], l, l) == [l]
 
     def test_idempotent_count(self):
         """D: 'a' D | 'a' D | | has two copies of each alternate; every element
