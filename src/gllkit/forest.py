@@ -3,8 +3,10 @@ derivations, with curtailment of cyclic nonterminals, disambiguation filters,
 and furthest-failure error reports."""
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice, product
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import Slot, SymbolId, render_id, render_slot
@@ -182,68 +184,175 @@ def evaluate(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,
     return _fold(memo, (sym.id, l, r, _NONE), span, (sym, l, r, _NONE))
 
 
+def _drain(step, node) -> bool:
+    """Settle node depth first: step(n) stores the value of n and returns
+    None, or returns the node that n waits for. False if one waits on itself."""
+    stack, waiting = [node], {node}
+    while stack:
+        wait = step(stack[-1])
+        if wait is None:
+            waiting.discard(stack.pop())
+        elif wait in waiting:
+            return False
+        else:
+            stack.append(wait)
+            waiting.add(wait)
+    return True
+
+
 def count_derivations(sym: Symbol, input, bsrs: BsrSet, l: int, r: int) -> DerivationCount:
     """Curtailed derivation count, saturating at COUNT_CAP.
 
-    A sum-product over the forest keys. A span's count sums the counts of its
-    alternates' whole prefixes. The prefix of slot i over l..b sums, over the
-    pivots k of key (slot i, l, b), the prefix of slot i-1 over l..k times
-    the count of symbol i-1 over k..b. Only a child spanning its parent's
-    whole extent is curtailed, so a prefix ending before its parent's right
-    extent is shared by every parent with the same (slot, l). Sums and
-    products saturate at COUNT_CAP + 1, which leaves them exact below it."""
+    A sum-product over the forest keys that the count over l..r may read,
+    found top-down by their right ends and grouped by extent (a, b). The prefix
+    of key (slot i, a, b) sums, over its pivots k, the prefix of slot i-1
+    over a..k times the count of symbol i-1 over k..b; a span's count sums its
+    alternates' last prefixes. The groups go by descending a, then ascending
+    b, so a group waits only on its own values: the prefix at pivot b, and the
+    child at pivot a, which spans the whole extent and alone can be curtailed.
+    A group is settled depth first. Only where its values wait on each other
+    in a cycle, as in E: E E E | 'a' |, are its spans counted with the ids
+    not to re-enter at a..b. Sums and products saturate at COUNT_CAP + 1,
+    which leaves them exact below it."""
     if isinstance(sym, Token):
         return DerivationCount(len(evaluate_token(sym.pattern, input, l, r)), False)
-    cap = COUNT_CAP + 1
-    memo: dict = {}
-
-    def span(sym, l, r, visited):
-        total = 0
-        for plan in bsrs.alternates.get(sym.id, ()):
-            n = len(plan.symbols)
-            if n == 0:
-                total += len(enumerate_splits(plan.slots, l, r, bsrs))
+    cap, alternates, empty, memo = COUNT_CAP + 1, bsrs.alternates, {}, {}
+    # a -> slot -> {b: the prefix of key (slot, a, b)} and b -> id -> {a: the
+    # count of id over a..b}, None until settled; a -> b -> the group's key
+    # slots, each last slot of an alternate followed by its span's id.
+    prefixes, spans = defaultdict(dict), defaultdict(lambda: defaultdict(dict))
+    groups: dict = defaultdict(lambda: defaultdict(list))
+    for (slot, a), rights in bsrs.key_sets():
+        prefixes[a][slot], plan = dict.fromkeys(rights), slot.plan
+        if slot is plan.slots[-1]:
+            for b in rights:
+                spans[b][plan.lhs][a] = None
+    # Only keys that the count of sym over l..r may read are counted. ends
+    # holds the right ends at which a slot or an id is read, whatever the left
+    # end: a key (slot i, a, b) reads symbol i-1 at b, and slot i-1 at b - 1
+    # after a token, else at each left end of symbol i-1 over ..b.
+    ends: dict = defaultdict(set)
+    todo = [(sym.id, {r})]
+    while todo:
+        node, new = todo.pop()
+        new = new - ends[node]
+        if not new:
+            continue
+        ends[node] |= new
+        if type(node) is not Slot:
+            todo.extend((plan.slots[-1], new) for plan in alternates.get(node, ()))
+        elif node.i:
+            prev, child = node.plan.slots[node.i - 1], node.plan.symbols[node.i - 1]
+            if type(child) is not Token:
+                todo.append((child.id, new))
+            if node.i == 1:
                 continue
-            key = (plan.slots[n], l, r, visited)
-            got = memo.get(key)
-            if got is None:
-                got = yield key, prefix, (plan, n, l, r, visited, sym.id)
-            total += got
-        return min(total, cap)
-
-    def prefix(plan, i, l, b, top, sid):
-        # Symbols 0..i-1 of plan over l..b. top is the parent's visited set
-        # when b is the parent's right extent; otherwise it is None, since no
-        # child of the prefix can then span the parent's whole extent.
-        child, before = plan.symbols[i - 1], plan.slots[i - 1]
-        token = child.pattern if isinstance(child, Token) else None
-        total = 0
-        for k in bsrs.pivots(plan.slots[i], l, b):
-            if i == 1:
-                left = 1
+            if type(child) is Token:
+                todo.append((prev, {b - 1 for b in new if b > l}))
             else:
-                upper = top if k == b else None
-                key = (before, l, k, upper)
-                left = memo.get(key)
-                if left is None:
-                    left = yield key, prefix, (plan, i - 1, l, k, upper, sid)
-                if not left:
-                    continue
-            if token is not None:
-                if evaluate_token(token, input, k, b):
-                    total += left
-                continue
-            seen = _NONE if top is None else _child_visited(k, b, l, b, top, sid)
-            if child.id in seen:
-                continue
-            key = (child.id, k, b, seen)
-            got = memo.get(key)
-            if got is None:
-                got = yield key, span, (child, k, b, seen)
-            total += left * got
-        return min(total, cap)
+                todo.append((prev, set().union(*[spans[b].get(child.id, empty) for b in new])))
+    # A key of slot 1 may wait on the span of its first symbol: list it last.
+    for (slot, a), rights in sorted(bsrs.key_sets(), key=lambda e: e[0][0].i == 1):
+        plan = slot.plan
+        for b in rights & ends[slot] if a >= l else ():
+            groups[a][b].append(slot)
+            if slot is plan.slots[-1]:
+                groups[a][b].append(plan.lhs)
 
-    n = _fold(memo, (sym.id, l, r, _NONE), span, (sym, l, r, _NONE))
+    # settle and curtail read the group's extent a..b and rows pa and sb.
+    def settle(node):
+        # The value of node, a key's slot or a span's id, kept in its row.
+        if type(node) is not Slot:
+            if sb[node][a] is None:
+                total = 0
+                for plan in alternates[node]:
+                    got = pa.get(plan.slots[-1], empty).get(b, 0)
+                    if got is None:
+                        return plan.slots[-1]
+                    total += got
+                sb[node][a] = min(total, cap)
+            return None
+        row, i = pa[node], node.i
+        if row[b] is not None:
+            return None
+        plan = node.plan
+        before = pa.get(plan.slots[i - 1], empty)
+        if i == 0 or type(plan.symbols[i - 1]) is Token:
+            row[b] = 1 if i <= 1 else before[b - 1]
+            return None
+        child = plan.symbols[i - 1].id
+        below = sb[child]
+        if i == 1:
+            row[b] = below[a]
+            return None if row[b] is not None else child
+        if below.get(a, 0) is None and a in before:
+            return child
+        if before.get(b, 0) is None and b in below:
+            return plan.slots[i - 1]
+        if len(before) == 1:  # one pivot, as after a token
+            for k in before:
+                row[b] = min(before[k] * below[k], cap)
+            return None
+        ks = before.keys() & below.keys()
+        row[b] = min(sum(map(mul, map(before.__getitem__, ks), map(below.__getitem__, ks))), cap)
+        return None
+
+    def curtail(node):
+        # The value of node = (slot or id, top) that re-enters no id in top
+        # at a..b, kept in memo.
+        x, top = node
+        got = 0
+        if type(x) is not Slot:
+            for plan in alternates[x]:
+                last = plan.slots[-1]
+                if b in pa.get(last, empty):
+                    value = memo.get((last, top))
+                    if value is None:
+                        return last, top
+                    got += value
+        elif x.i == 0:
+            got = 1
+        elif type(x.plan.symbols[x.i - 1]) is Token:
+            got = 1 if x.i == 1 else pa[x.plan.slots[x.i - 1]][b - 1]
+        else:
+            plan, i = x.plan, x.i
+            prev, child = plan.slots[i - 1], plan.symbols[i - 1].id
+            before = pa.get(prev, empty) if i > 1 else {a: 1}
+            below = sb[child]
+            for k in (b, a) if a < b else (a,):  # the pivots in the group
+                if k not in before or k not in below:
+                    continue
+                left = before[k] if k < b else memo.get((prev, top))
+                if left is None:
+                    return prev, top
+                seen = top | {plan.lhs}
+                if k == a and child in seen:
+                    continue
+                value = below[k] if k > a else memo.get((child, seen))
+                if value is None:
+                    return child, seen
+                got += left * value
+            ks = before.keys() & below.keys() - {a, b}
+            got += sum(map(mul, map(before.__getitem__, ks), map(below.__getitem__, ks)))
+        memo[node] = min(got, cap)
+        return None
+
+    for a in sorted(groups, reverse=True):
+        pa, ga = prefixes[a], groups[a]
+        for b in sorted(ga):
+            sb, nodes, curtailed = spans[b], ga[b], False
+            for node in nodes:
+                # A curtailed span reads no prefix of its last slots.
+                if curtailed and type(node) is Slot and node is node.plan.slots[-1]:
+                    continue
+                while settle(node) is not None and not _drain(settle, node):
+                    memo.clear()  # a cycle: count the open spans curtailed
+                    curtailed = True
+                    for x in nodes:
+                        if type(x) is not Slot and sb[x][a] is None:
+                            _drain(curtail, (x, _NONE))
+                            sb[x][a] = memo[(x, _NONE)]
+    n = spans[r][sym.id].get(l, 0)
     return DerivationCount(min(n, COUNT_CAP), n > COUNT_CAP)
 
 

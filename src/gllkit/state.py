@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 from .core import (
     BSRElement,
@@ -186,13 +186,18 @@ class BsrSet:
     def has_key(self, slot: Slot, l: int, r: int) -> bool:
         return r in self._rights.get((slot, l), _NONE)
 
+    def key_sets(self):
+        """((slot, l), the set of right extents of the keys (slot, l, _)) per
+        pair made so far, unordered; a set may be empty."""
+        return self._rights.items()
+
     def keys(self) -> Iterator[tuple[Slot, int, int]]:
         for (slot, l), rights in self._rights.items():
             for r in rights:
                 yield (slot, l, r)
 
-    def pivots(self, slot: Slot, l: int, r: int) -> list[int]:
-        """The pivots of the elements under key (slot, l, r), ascending."""
+    def pivots(self, slot: Slot, l: int, r: int) -> Collection[int]:
+        """The pivots of the elements under key (slot, l, r), unordered."""
         if not self.has_key(slot, l, r):
             return []
         i = slot.i
@@ -202,8 +207,7 @@ class BsrSet:
         last = plan.symbols[i - 1].id
         if type(last) is TokenName:
             return [r - 1]
-        return sorted(self._rights[(plan.slots[i - 1], l)]
-                      & self._prel.lefts(last, r))
+        return self._rights[(plan.slots[i - 1], l)] & self._prel.lefts(last, r)
 
     def __len__(self) -> int:
         return self.size

@@ -270,6 +270,30 @@ class TestDifferential:
                 ambiguous += want > 1
         assert ambiguous > 10
 
+    def test_sub_spans(self):
+        """Every extent r of every commencement (X, l) counts as X does on
+        text[l:r] alone, so the count is right at every span, not only at
+        the root."""
+        rng = random.Random(1999)
+        spans = 0
+        for _ in range(150):
+            ast = parse_grammar(random_grammar(rng))
+            start = ast.definitions[0].name
+            for _ in range(3):
+                text = random_input(rng, max_len=6)
+                for schedule in SCHEDULES:
+                    sym = Elaborator(ast).start_symbol(start)
+                    _, state = run_recognize(sym, text, **schedule)
+                    for x in reachable_nonterminals(sym).values():
+                        for l in range(len(text) + 1):
+                            for r in state.prel.extents_for(Commencement(x.id, l)):
+                                want = brute_count(ast, x.id.name, text[l:r])
+                                got = count_derivations(x, text, state.bsrs, l, r)
+                                assert got == (min(want, COUNT_CAP), want > COUNT_CAP), (
+                                    x.id.name, text, l, r)
+                                spans += 1
+        assert spans > 1000
+
     def test_random_parameterized_grammars(self):
         rng = random.Random(2024)
         ambiguous = left_recursive = 0
@@ -296,9 +320,33 @@ def left_recursive_l(actions: bool):
     return sym
 
 
+def right_recursive_r():
+    """R: 'a' R | 'b'. Its forest stays linear on a^n b, where the forest of
+    R: 'a' R | 'a' on a^n would hold every one of the n^2 / 2 suffix spans."""
+    a, b = char_token("a"), char_token("b")
+    R = Applied("R")
+    sym = Nonterminal(R, thunk=lambda: [AltPlan(R, (a, sym)), AltPlan(R, (b,))])
+    return sym
+
+
+def nullable_chain(n: int):
+    """C0: C1, C1: C2, ..., Cn: 'a' | (empty): over one extent, a chain of
+    n + 1 nonterminals, each the only child of the one before, spanning all
+    of it."""
+    ids = [Applied(f"C{i}") for i in range(n + 1)]
+    syms = [Nonterminal(ids[n], thunk=lambda: [AltPlan(ids[n], (char_token("a"),)),
+                                               AltPlan(ids[n], ())])]
+    for i in range(n - 1, -1, -1):
+        syms.append(Nonterminal(ids[i], thunk=lambda i=i, child=syms[-1]: [
+            AltPlan(ids[i], (child,))]))
+    return syms[-1]
+
+
 class TestDepth:
-    """Count and evaluate run on an explicit stack, so a derivation deeper
-    than the interpreter's stack limit is read back whole."""
+    """Count groups the forest keys by extent and settles each group on an
+    explicit stack, and evaluate folds on one, so a derivation deeper than
+    the interpreter's stack limit is read back whole: down a long chain of
+    extents, left or right, and down a long chain inside one extent."""
 
     TEXT = "a" * 3000
 
@@ -321,6 +369,18 @@ class TestDepth:
             tree, token = tree.children
             assert token == "a"
         assert tree == TreeNode(sym.id, 0, 1, ("a",))
+
+    def test_count_right_recursive(self):
+        sym = right_recursive_r()
+        text = "a" * 2999 + "b"
+        _, state = run_recognize(sym, text)
+        assert count_derivations(sym, text, state.bsrs, 0, 3000) == (1, False)
+
+    @pytest.mark.parametrize("text", ["", "a"])
+    def test_count_same_extent_chain(self, text):
+        sym = nullable_chain(3000)
+        _, state = run_recognize(sym, text)
+        assert count_derivations(sym, text, state.bsrs, 0, len(text)) == (1, False)
 
     def test_count_deep_tuple(self):
         sym = Elaborator(load_grammar("tuples.g")).start_symbol("AlphaTuples")
