@@ -12,7 +12,7 @@ from .core import (
     render_id,
     render_slot,
 )
-from .dsl import Elaborator, GrammarAst, elaborate, parse_grammar, render_grammar, validate
+from .dsl import Elaborator, GrammarAst, parse_grammar, render_grammar, validate
 from .engine import (
     AltPlan,
     Nonterminal,
@@ -47,7 +47,7 @@ __all__ = [
     "Leaf", "NaiveInterpreter", "Nonterminal", "ParseState",
     "PrecedenceFilter", "ResourceExhausted", "Slot", "Symbol", "SymbolId",
     "Token", "TokenName", "TokenPattern", "TreeNode", "char_token",
-    "count_derivations", "elaborate", "enumerate_splits", "evaluate",
+    "count_derivations", "enumerate_splits", "evaluate",
     "extract_errors", "extract_trees", "lazy_nonterminal",
     "naive_run", "naive_token", "nonterminal_symbol", "parse_grammar",
     "render_grammar", "render_id", "render_slot", "run_prefix",

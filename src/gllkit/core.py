@@ -1,8 +1,11 @@
 """Identifiers, slots, descriptors and forest-edge values shared by every module.
 
-Symbol ids are interned: structurally equal ids are the same object. Slots are
-made once per grammar position by their alternate's plan. So both hash and
-compare by identity, in C, on the engine's hot membership checks.
+A symbol id is made together with its symbol, once per grammar: an
+Elaborator's registry holds one id per token name and per instance, and each
+Token or nonterminal_symbol call makes a new one. Slots are made once per
+grammar position by their alternate's plan. So both hash and compare by
+identity, in C, on the engine's hot membership checks, and two grammars never
+share an id, even where their names are equal.
 """
 from __future__ import annotations
 
@@ -30,17 +33,10 @@ class TokenName(SymbolId):
 
     __slots__ = ()
 
-    def __new__(cls, name: str) -> "TokenName":
-        key = name
-        hit = _TOKEN_INTERN.get(key)
-        if hit is not None:
-            return hit
-        self = object.__new__(cls)
+    def __init__(self, name: str) -> None:
         self.name = name
         self.args = ()
         self._rendered = name if name.startswith("'") else "%" + name
-        _TOKEN_INTERN[key] = self
-        return self
 
 
 class Applied(SymbolId):
@@ -48,22 +44,10 @@ class Applied(SymbolId):
 
     __slots__ = ()
 
-    def __new__(cls, name: str, args: tuple[SymbolId, ...] = ()) -> "Applied":
-        args = tuple(args)
-        key = (name, args)
-        hit = _APPLIED_INTERN.get(key)
-        if hit is not None:
-            return hit
-        self = object.__new__(cls)
+    def __init__(self, name: str, args: tuple[SymbolId, ...] = ()) -> None:
         self.name = name
-        self.args = args
+        self.args = tuple(args)
         self._rendered = None
-        _APPLIED_INTERN[key] = self
-        return self
-
-
-_TOKEN_INTERN: dict = {}
-_APPLIED_INTERN: dict = {}
 
 
 def render_id(sid: SymbolId) -> str:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Union
 
-from .core import Applied, SymbolId, TokenName
+from .core import Applied
 from .engine import (
     AltPlan,
     Nonterminal,
@@ -454,9 +454,11 @@ def _check_ref(ref: SymRef, where: str, scope: set, token_names: set,
 class Elaborator:
     """Turns a validated GrammarAst into an engine Symbol graph.
 
-    Instantiation of parameterized definitions is memoized by Applied id and
-    the alternates of each instance are built lazily, so self-instantiating
-    definitions elaborate in bounded time.
+    The registry is the grammar's symbol table: it maps a token's name, or an
+    instance's (definition name, argument ids), to the one Symbol, whose id is
+    made with it. So the ids are this grammar's own and are freed with it.
+    Instantiation is memoized there and the alternates of each instance are
+    built lazily, so self-instantiating definitions elaborate in bounded time.
     """
 
     def __init__(self, ast: GrammarAst, mode: str = "char"):
@@ -467,27 +469,24 @@ class Elaborator:
             raise ValueError("invalid grammar: " + "; ".join(problems))
         self.ast = ast
         self.mode = mode
-        self.registry: dict[SymbolId, Symbol] = {}
+        self.registry: dict[Union[str, tuple], Symbol] = {}
 
     def literal_symbol(self, char: str) -> Token:
-        sid = TokenName(f"'{char}'")
-        sym = self.registry.get(sid)
+        name = f"'{char}'"
+        sym = self.registry.get(name)
         if sym is None:
             classifier = (lambda t, c=char: t if t == c else None)
-            sym = token_symbol(TokenPattern(classifier, sid.name))
-            self.registry[sid] = sym
+            sym = self.registry[name] = token_symbol(TokenPattern(classifier, name))
         return sym
 
     def declared_token_symbol(self, decl: TokenDecl) -> Token:
-        sid = TokenName(decl.name)
-        sym = self.registry.get(sid)
+        sym = self.registry.get(decl.name)
         if sym is None:
             if self.mode == "words":
                 classifier = (lambda t, n=decl.name: t if t == n else None)
             else:
                 classifier = decl.pattern.classifier()
-            sym = token_symbol(TokenPattern(classifier, decl.name))
-            self.registry[sid] = sym
+            sym = self.registry[decl.name] = token_symbol(TokenPattern(classifier, decl.name))
         return sym
 
     def resolve(self, ref: SymRef, env: Optional[dict] = None) -> Symbol:
@@ -507,15 +506,19 @@ class Elaborator:
         return self.declared_token_symbol(decl)
 
     def instantiate(self, defn: NtDef, args: tuple) -> Nonterminal:
-        sid = Applied(defn.name, tuple([a.id for a in args])) if args else Applied(defn.name)
-        sym = self.registry.get(sid)
+        key = (defn.name, tuple([a.id for a in args]))
+        sym = self.registry.get(key)
         if sym is None:
+            sid = Applied(*key)
             env = dict(zip(defn.params, args)) if args else None
-            resolve = self.resolve
-            sym = lazy_nonterminal(sid, lambda: [
-                AltPlan(sid, [resolve(s, env) for s in alt]) for alt in defn.alternates])
-            self.registry[sid] = sym
+            # a partial (two objects) rather than a closure (a function, four
+            # cells and a bound `resolve`): fewer objects for the collector
+            sym = self.registry[key] = lazy_nonterminal(
+                sid, partial(Elaborator._plans, self, defn, sid, env))
         return sym
+
+    def _plans(self, defn: NtDef, sid: Applied, env: Optional[dict]) -> list:
+        return [AltPlan(sid, [self.resolve(s, env) for s in alt]) for alt in defn.alternates]
 
     def start_symbol(self, start: Union[str, SymRef]) -> Symbol:
         ref = parse_symref(start) if isinstance(start, str) else start
@@ -525,9 +528,3 @@ class Elaborator:
         if not self.ast.precedences:
             return None
         return PrecedenceFilter([(p.assoc, p.names) for p in self.ast.precedences])
-
-
-def elaborate(ast: GrammarAst, start: Union[str, SymRef],
-              mode: str = "char") -> Symbol:
-    """Convenience wrapper: validate, build the registry, return the start Symbol."""
-    return Elaborator(ast, mode).start_symbol(start)

@@ -119,13 +119,15 @@ def token_symbol(pattern: TokenPattern) -> Token:
 
 
 def char_token(ch: str) -> Token:
-    """Token matching one literal character; named with its quotes: "'a'"."""
+    """Token matching one literal character; named with its quotes: "'a'".
+    Each call makes a new symbol, with its own id."""
     return Token(TokenPattern(lambda t: t if t == ch else None, f"'{ch}'"))
 
 
 def nonterminal_symbol(name: str, args: Sequence[Symbol],
                        alternates: Sequence[tuple]) -> Nonterminal:
-    """Build a nonterminal Symbol with eager plans.
+    """Build a nonterminal Symbol with eager plans and a new id, so pass the
+    one object wherever this nonterminal is meant.
 
     Each alternate is (symbols,) or (symbols, action) or
     (symbols, action, action_kind).
@@ -274,7 +276,7 @@ def _drive(state: ParseState) -> None:
 def _start_parse(s: Symbol, input, fuel: Optional[int], lifo: bool,
                  reverse_alternates: bool,
                  instantiation_budget: Optional[int]) -> ParseState:
-    if s.id == START_ID:
+    if type(s.id) is Applied and s.id.name == START_NAME:
         raise ValueError(f"{START_NAME} is reserved for the artificial start symbol")
     state = ParseState(input, fuel=fuel, lifo=lifo,
                        reverse_alternates=reverse_alternates,

@@ -148,7 +148,8 @@ class BsrSet:
     Deriving is valid only on a drained run; read a tripped run's length alone.
     `alternates` maps each nonterminal id the run started to the plans of the
     first symbol with that id it met; every key's slot is in them, so the
-    forest walk reads them, not a child's own: it may be another object.
+    forest walk reads them, not a child's own: it may be another object. Ids
+    are per grammar, so same-named nonterminals of two grammars stay apart.
     """
 
     __slots__ = ("_rights", "_prel", "alternates", "size", "nkeys")

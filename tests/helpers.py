@@ -6,7 +6,7 @@ import random
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
-from gllkit.core import render_slot
+from gllkit.core import render_id, render_slot
 from gllkit.dsl import GrammarAst, Lit, Ref, parse_grammar
 from gllkit.engine import Symbol, Token
 
@@ -53,13 +53,17 @@ def random_input(rng: random.Random, max_len: int = 8, tokens: str = "ab") -> st
 
 
 def rendered_state(state) -> tuple:
-    """uset, grel, prel and the forest with every slot rendered, so that runs
-    on separate elaborations, which make separate slots, compare equal."""
+    """uset, grel, prel and the forest with every slot and commencement id
+    rendered, so that runs on separate elaborations, which make separate slots
+    and ids, compare equal."""
     def text(t):
         return t if t is None else (render_slot(t[0]),) + tuple(t[1:])
+
+    def commencement(c):
+        return (render_id(c[0]),) + tuple(c[1:])
     return (frozenset(map(text, state.uset)),
-            frozenset((c, text(cont)) for c, cont in state.grel.pairs()),
-            state.prel.snapshot(),
+            frozenset((commencement(c), text(cont)) for c, cont in state.grel.pairs()),
+            frozenset((commencement(c), r) for c, r in state.prel.snapshot()),
             frozenset(map(text, state.bsrs)))
 
 

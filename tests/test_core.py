@@ -1,4 +1,4 @@
-"""Identifier and slot behavior: interning, slot chains, rendering."""
+"""Identifier and slot behavior: ids per grammar, slot chains, rendering."""
 from hypothesis import example, given, strategies as st
 
 from gllkit.core import (
@@ -7,7 +7,10 @@ from gllkit.core import (
     render_id,
     render_slot,
 )
+from gllkit.dsl import Elaborator
 from gllkit.engine import AltPlan, Nonterminal, TokenPattern, nonterminal_symbol, token_symbol
+
+from helpers import load_grammar
 
 names = st.text(alphabet="abcXYZ_", min_size=1, max_size=4)
 
@@ -22,17 +25,25 @@ def sym_ids(depth=2):
             lambda t: Applied(t[0], tuple(t[1]))))
 
 
-class TestSymbolIds:
-    def test_structural_equality(self):
-        assert TokenName("a") == TokenName("a")
-        assert Applied("X", (TokenName("a"),)) == Applied("X", (TokenName("a"),))
-        assert Applied("X") != Applied("Y")
-        assert TokenName("X") != Applied("X")
+def key(sid):
+    """The structure of an id, by which tests compare ids: each grammar makes
+    its own, so structurally equal ids need not be one object."""
+    return (type(sid).__name__, sid.name, tuple([key(a) for a in sid.args]))
 
-    def test_interning_gives_identity(self):
-        assert TokenName("a") is TokenName("a")
-        x = Applied("CSV", (TokenName("alpha"),))
-        assert x is Applied("CSV", (TokenName("alpha"),))
+
+class TestSymbolIds:
+    def test_ids_are_per_grammar(self):
+        """One Elaborator resolves CSV(alpha) to one id every time; two
+        Elaborators of the same text make two."""
+        ast = load_grammar("csv.g")
+        first = Elaborator(ast)
+        sid = first.start_symbol("CSV(alpha)").id
+        assert first.start_symbol("CSV(alpha)").id is sid
+        assert first.start_symbol("alpha").id is sid.args[0]
+        other = Elaborator(ast).start_symbol("CSV(alpha)").id
+        assert other is not sid and other.args[0] is not sid.args[0]
+        assert key(other) == key(sid) == ("Applied", "CSV", (("TokenName", "alpha", ()),))
+        assert TokenName("a") is not TokenName("a")
 
     def test_render(self):
         assert render_id(TokenName("alpha")) == "%alpha"
@@ -72,19 +83,22 @@ class TestSlots:
     def test_full_advance_reaches_end(self, symbols):
         symbols = tuple(symbols)
         slots = plan(E, symbols).slots
+        keys = list(map(key, symbols))
         assert [s.i for s in slots] == list(range(len(symbols) + 1))
-        assert all(s.pre + s.post == symbols for s in slots)
-        assert slots[-1].post == () and slots[-1].pre == symbols
+        assert all(list(map(key, s.pre + s.post)) == keys for s in slots)
+        assert slots[-1].post == () and list(map(key, slots[-1].pre)) == keys
 
     @given(st.lists(sym_ids(1), max_size=3), st.lists(sym_ids(1), max_size=3))
     @example(pre=[TokenName("X"), TokenName("X")], post=[TokenName("X"), Applied("X")])
     def test_render_is_injective(self, pre, post):
         a = plan(E, pre + post).slots[len(pre)]
         b = plan(E, post + pre).slots[len(post)]
-        if (a.pre, a.post) != (b.pre, b.post):
+        def keys(slot):
+            return (tuple(map(key, slot.pre)), tuple(map(key, slot.post)))
+        if keys(a) != keys(b):
             assert render_slot(a) != render_slot(b)
 
-    def test_interning(self):
+    def test_duplicate_alternates_share_slots(self):
         """Duplicate alternates of one nonterminal share one slot chain."""
         a = symbol(A)
         first, second, empty = nonterminal_symbol(

@@ -1,8 +1,10 @@
 """Grammar format: parsing, validation, elaboration, round-tripping."""
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from gllkit.core import Applied, TokenName
+from gllkit.core import Applied, render_id
 from gllkit.dsl import (
     Elaborator,
     GrammarAst,
@@ -13,13 +15,13 @@ from gllkit.dsl import (
     PrecDecl,
     Ref,
     TokenDecl,
-    elaborate,
     parse_grammar,
     parse_symref,
     render_grammar,
     validate,
 )
-from gllkit.engine import run_recognize
+from gllkit.engine import nonterminal_symbol, run_recognize
+from gllkit.state import ResourceExhausted
 
 from helpers import load_grammar
 
@@ -139,27 +141,27 @@ class TestElaboration:
     def test_instance_identity(self):
         elab = Elaborator(load_grammar("csv.g"))
         sym = elab.start_symbol("CSV(alpha)")
-        assert sym.id == Applied("CSV", (TokenName("alpha"),))
+        assert render_id(sym.id) == "CSV(%alpha)"
         assert elab.start_symbol("CSV(alpha)") is sym
 
     def test_self_instantiating_definition_elaborates(self):
         # instantiation is lazy, so elaboration terminates even though the
         # definition applies itself to ever-larger arguments
-        sym = elaborate(load_grammar("anbncn.g"), "Start")
-        assert sym.id == Applied("Start")
+        sym = Elaborator(load_grammar("anbncn.g")).start_symbol("Start")
+        assert render_id(sym.id) == "Start"
 
     def test_literal_token_naming(self):
         elab = Elaborator(parse_grammar("S: ','\n"))
         sym = elab.start_symbol("S")
-        assert sym.plans()[0].symbols[0].id == TokenName("','")
+        assert render_id(sym.plans()[0].symbols[0].id) == "','"
 
     def test_unresolved_start(self):
         with pytest.raises(ValueError):
-            elaborate(parse_grammar("S: 'a'\n"), "T")
+            Elaborator(parse_grammar("S: 'a'\n")).start_symbol("T")
 
     def test_words_mode(self):
         ast = parse_grammar("%token let 'x'\nS: let let\n")
-        sym = elaborate(ast, "S", mode="words")
+        sym = Elaborator(ast, mode="words").start_symbol("S")
         accepted, _ = run_recognize(sym, ["let", "let"])
         assert accepted
         accepted, _ = run_recognize(sym, ["let", "other"])
@@ -167,10 +169,70 @@ class TestElaboration:
 
     def test_char_classes(self):
         ast = parse_grammar("%token d %digit\n%token lo [a-cx]\nS: d lo\n")
-        sym = elaborate(ast, "S")
+        sym = Elaborator(ast).start_symbol("S")
         for text, want in [("3a", True), ("9x", True), ("3d", False), ("aa", False)]:
             accepted, _ = run_recognize(sym, text)
             assert accepted == want, text
+
+
+def letters_and_digits():
+    """Two grammars that differ only in what `alpha` matches."""
+    text = "%%token alpha [%s]\nSep(s, x): x s Sep(s, x) | x\nL: Sep(',', alpha)\n"
+    return Elaborator(parse_grammar(text % "a-z")), Elaborator(parse_grammar(text % "0-9"))
+
+
+def accepts(sym, text):
+    return run_recognize(sym, text)[0]
+
+
+def applied_ids():
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if type(o) is Applied)
+
+
+class TestGrammarsCombine:
+    """Each Elaborator's ids are its own, so same-named nonterminals of two
+    grammars stay two nonterminals when one run meets both."""
+
+    def xs(self):
+        return (Elaborator(parse_grammar("X: 'a'\n")).start_symbol("X"),
+                Elaborator(parse_grammar("X: 'b'\n")).start_symbol("X"))
+
+    def test_sequence(self):
+        xa, xb = self.xs()
+        s = nonterminal_symbol("S", [], [((xa, xb),)])
+        assert accepts(s, "ab") and not accepts(s, "aa")
+
+    def test_choice(self):
+        xa, xb = self.xs()
+        s = nonterminal_symbol("S", [], [((xa,),), ((xb,),)])
+        assert accepts(s, "a") and accepts(s, "b")
+
+    def test_same_definitions_over_other_tokens(self):
+        letters, digits = letters_and_digits()
+        both = nonterminal_symbol("Both", [], [((letters.start_symbol("L"),),),
+                                               ((digits.start_symbol("L"),),)])
+        for text in ("a,b", "1,2", "7"):
+            assert accepts(both, text), text
+        assert not accepts(both, "a,2")
+
+    def test_instance_over_another_grammars_token(self):
+        letters, digits = letters_and_digits()
+        sep, comma = letters.ast.names["Sep"], letters.start_symbol("','")
+        both = nonterminal_symbol("Both", [], [
+            ((letters.instantiate(sep, (comma, letters.start_symbol("alpha"))),),),
+            ((letters.instantiate(sep, (comma, digits.start_symbol("alpha"))),),)])
+        assert accepts(both, "a,b") and accepts(both, "1,2")
+
+    def test_ids_are_freed_with_their_grammar(self):
+        ast = load_grammar("anbncn.g")
+        before = applied_ids()
+        elab = Elaborator(ast)
+        with pytest.raises(ResourceExhausted):
+            run_recognize(elab.start_symbol("Start"), "aabbcc", instantiation_budget=200)
+        assert applied_ids() > before + 200
+        del elab
+        assert applied_ids() == before
 
 
 token_patterns = st.one_of(

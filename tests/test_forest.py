@@ -169,7 +169,8 @@ def m_twice(shared: bool):
     a = char_token("a")
     t = nonterminal_symbol("T", [], [((),)])
     m = nonterminal_symbol("M", [], [((a,),), ((t, a),)])
-    again = m if shared else nonterminal_symbol("M", [], [((a,),), ((t, a),)])
+    again = m if shared else Nonterminal(
+        m.id, plans=[AltPlan(m.id, (a,)), AltPlan(m.id, (t, a))])
     return nonterminal_symbol("S", [], [((t, again),), ((m,),), ((m, again),)])
 
 
