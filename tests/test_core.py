@@ -32,9 +32,24 @@ def key(sid):
 
 
 class TestSymbolIds:
-    def test_ids_are_per_grammar(self):
+    def test_structural_equality(self):
+        """Within one grammar, ids are equal exactly when their structure is;
+        across grammars, equal structure shows only in `key`."""
+        ast = load_grammar("csv.g")
+        g = Elaborator(ast)
+        assert g.start_symbol("CSV(alpha)").id == g.start_symbol("CSV(alpha)").id
+        assert g.start_symbol("CSV(alpha)").id != g.start_symbol("CSV(CSV(alpha))").id
+        assert Applied("X") != Applied("Y")
+        assert TokenName("X") != Applied("X")
+        other = Elaborator(ast).start_symbol("CSV(alpha)").id
+        assert other != g.start_symbol("CSV(alpha)").id
+        assert key(other) == key(g.start_symbol("CSV(alpha)").id) == (
+            "Applied", "CSV", (("TokenName", "alpha", ()),))
+
+    def test_interning_gives_identity(self):
         """One Elaborator resolves CSV(alpha) to one id every time; two
-        Elaborators of the same text make two."""
+        Elaborators of the same text make two, and a bare constructor call
+        is interned nowhere."""
         ast = load_grammar("csv.g")
         first = Elaborator(ast)
         sid = first.start_symbol("CSV(alpha)").id
@@ -42,7 +57,6 @@ class TestSymbolIds:
         assert first.start_symbol("alpha").id is sid.args[0]
         other = Elaborator(ast).start_symbol("CSV(alpha)").id
         assert other is not sid and other.args[0] is not sid.args[0]
-        assert key(other) == key(sid) == ("Applied", "CSV", (("TokenName", "alpha", ()),))
         assert TokenName("a") is not TokenName("a")
 
     def test_render(self):
