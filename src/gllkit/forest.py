@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice, product, repeat
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -66,15 +66,6 @@ class ErrorReport:
 class DerivationCount(NamedTuple):
     value: int
     saturated: bool
-
-
-@dataclass(frozen=True)
-class SplitCandidate:
-    """One way of tiling an alternate over an extent, with its child values."""
-
-    plan: AltPlan
-    boundaries: tuple[int, ...]
-    children: tuple
 
 
 def enumerate_splits(slots: Sequence[Slot], l: int, r: int, bsrs: BsrSet) -> list[tuple[int, ...]]:
@@ -140,8 +131,7 @@ def _fold(memo: dict, key, step, args: tuple):
     return value
 
 
-def evaluate(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,
-             filters: Sequence = ()) -> list:
+def evaluate(sym: Symbol, input, bsrs: BsrSet, l: int, r: int) -> list:
     """One semantic value per (curtailed) derivation of input[l:r) at sym:
     alternates in definition order, splits ascending, child values combined
     with the first child varying slowest. Each span's values are computed
@@ -169,16 +159,13 @@ def evaluate(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,
                         break
                     child_lists.append(vals)
                 else:
-                    if plan.action_kind == "multi" and plan.action is not None:
+                    combos = product(*child_lists)
+                    if plan.action is None:
+                        out.extend(TreeNode(sym.id, l, r, combo) for combo in combos)
+                    elif plan.action_kind == "multi":
                         out.extend(plan.action(child_lists))
-                        continue
-                    candidates = [SplitCandidate(plan, bounds, combo)
-                                  for combo in product(*child_lists)]
-                    for cand in apply_filters(filters, candidates):
-                        if plan.action is not None:
-                            out.append(plan.action(list(cand.children)))
-                        else:
-                            out.append(TreeNode(sym.id, l, r, cand.children))
+                    else:
+                        out.extend(plan.action(list(combo)) for combo in combos)
         return out
 
     return _fold(memo, (sym.id, l, r, _NONE), span, (sym, l, r, _NONE))
@@ -357,27 +344,34 @@ def count_derivations(sym: Symbol, input, bsrs: BsrSet, l: int, r: int) -> Deriv
 
 
 def iter_trees(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,
-               visited: frozenset = frozenset(), filters: Sequence = ()):
+               visited: frozenset = frozenset(), classes=None, admitted=None):
     """Lazily yield derivation trees in deterministic order: splits ascending
-    by boundary vector, alternates in definition order."""
+    by boundary vector, alternates in definition order. With `classes`, a
+    RootClasses, only the trees its filter keeps whose root operator is in
+    `admitted` (any, when None)."""
     if isinstance(sym, Token):
         if evaluate_token(sym.pattern, input, l, r):
             yield Leaf(input[l], l)
         return
     if sym.id in visited:
         return
+    splits = (_splits(sym, l, r, bsrs) if classes is None
+              else classes.splits(sym, l, r, visited, admitted))
+    for plan, bounds, narrowed in splits:
+        factories = [
+            (lambda child=child, cl=bounds[i], cr=bounds[i + 1], adm=adm:
+             iter_trees(child, input, bsrs, cl, cr,
+                        _child_visited(cl, cr, l, r, visited, sym.id),
+                        classes, adm))
+            for i, (child, adm) in enumerate(zip(plan.symbols, narrowed))]
+        for combo in _lazy_combos(factories, 0):
+            yield TreeNode(sym.id, l, r, combo)
+
+
+def _splits(sym: Symbol, l: int, r: int, bsrs: BsrSet):
     for plan in bsrs.alternates.get(sym.id, ()):
         for bounds in enumerate_splits(plan.slots, l, r, bsrs):
-            factories = [
-                (lambda child=child, cl=bounds[i], cr=bounds[i + 1]:
-                 iter_trees(child, input, bsrs, cl, cr,
-                            _child_visited(cl, cr, l, r, visited, sym.id),
-                            filters))
-                for i, child in enumerate(plan.symbols)]
-            for combo in _lazy_combos(factories, 0):
-                cand = SplitCandidate(plan, bounds, combo)
-                if apply_filters(filters, [cand]):
-                    yield TreeNode(sym.id, l, r, combo)
+            yield plan, bounds, repeat(None)
 
 
 def _lazy_combos(factories: list, i: int):
@@ -392,28 +386,22 @@ def _lazy_combos(factories: list, i: int):
 def extract_trees(sym: Symbol, input, bsrs: BsrSet,
                   limit: Optional[int] = None, filters: Sequence = ()) -> list:
     """Up to `limit` full-extent derivation trees, a prefix of the unlimited
-    enumeration."""
-    gen = iter_trees(sym, input, bsrs, 0, len(input), frozenset(), filters)
+    enumeration; `filters` holds at most one PrecedenceFilter."""
+    classes = RootClasses(*filters, input, bsrs) if filters else None
+    gen = iter_trees(sym, input, bsrs, 0, len(input), frozenset(), classes)
     return list(gen if limit is None else islice(gen, limit))
 
 
-def apply_filters(filters: Sequence, candidates: Sequence[SplitCandidate]) -> list[SplitCandidate]:
-    """Keep the candidates every filter allows; contractive and idempotent."""
-    if not filters:
-        return list(candidates)
-    return [c for c in candidates
-            if all(f.allow(c) for f in filters)]
-
-
 class PrecedenceFilter:
-    """Prunes splits that violate precedence or associativity declarations.
+    """Precedence and associativity declarations, decided per split.
 
     `groups` is the ordered list of (assoc, [token names]) declarations;
     later groups bind tighter. An alternate's operator is its rightmost
-    declared token; a subtree's root operator is the rightmost declared token
-    leaf among its direct children. A split is pruned when a child's root
-    operator binds looser than the parent's, or equally with the child on the
-    disallowed side.
+    declared token; a tree's root operator is its root split's rightmost
+    token leaf whose quoted value is declared. A child is not admitted when
+    its root operator binds looser than the alternate's, or equally on the
+    disallowed side. The tree walk applies the filter; count and evaluate
+    do not yet.
     """
 
     def __init__(self, groups: Sequence[tuple[str, Sequence[str]]]):
@@ -431,36 +419,76 @@ class PrecedenceFilter:
                 return i
         return None
 
-    def _root_operator(self, tree) -> Optional[str]:
-        if not isinstance(tree, TreeNode):
-            return None
-        for child in reversed(tree.children):
-            if isinstance(child, Leaf):
-                name = f"'{child.value}'"
+    def operator(self, plan: AltPlan, bounds: tuple[int, ...], input) -> Optional[str]:
+        """The root operator of the trees of plan split at bounds."""
+        for i in range(len(plan.symbols) - 1, -1, -1):
+            if isinstance(plan.symbols[i], Token):
+                name = f"'{input[bounds[i]]}'"
                 if name in self.levels:
                     return name
         return None
 
-    def allow(self, cand: SplitCandidate) -> bool:
-        op_index = self._operator_index(cand.plan)
-        if op_index is None:
+    def admits(self, plan: AltPlan, i: int, child_op: Optional[str]) -> bool:
+        """Whether a tree with root operator child_op may be child i of plan."""
+        op_index = self._operator_index(plan)
+        if op_index is None or child_op is None:
             return True
-        level, assoc = self.levels[cand.plan.symbols[op_index].id.name]
-        for i, child in enumerate(cand.children):
-            child_op = self._root_operator(child)
-            if child_op is None:
-                continue
-            child_level, _ = self.levels[child_op]
-            if child_level < level:
-                return False
-            if child_level == level:
-                if assoc == "nonassoc":
-                    return False
-                if assoc == "left" and i > op_index:
-                    return False
-                if assoc == "right" and i < op_index:
-                    return False
-        return True
+        level, assoc = self.levels[plan.symbols[op_index].id.name]
+        child_level = self.levels[child_op][0]
+        if child_level != level:
+            return child_level > level
+        return assoc == "left" and i < op_index or assoc == "right" and i > op_index
+
+
+class RootClasses:
+    """The memo of one tree walk under a PrecedenceFilter: the root
+    operators (None for none) of the kept trees of each span (id, l, r,
+    visited), keyed and curtailed as evaluate's spans are."""
+
+    def __init__(self, prec: PrecedenceFilter, input, bsrs: BsrSet):
+        self.prec, self.input, self.bsrs, self.memo = prec, input, bsrs, {}
+
+    def _children(self, sym: Symbol, plan: AltPlan, bounds, l, r, visited):
+        # A part of a _fold step: per child of the split, the classes that
+        # the filter admits there, or None when one child has none.
+        admitted: list = []
+        for i, child in enumerate(plan.symbols):
+            cl, cr = bounds[i], bounds[i + 1]
+            if isinstance(child, Token):
+                got = [None] if evaluate_token(child.pattern, self.input, cl, cr) else _NONE
+            else:
+                seen = _child_visited(cl, cr, l, r, visited, sym.id)
+                key = (child.id, cl, cr, seen)
+                got = _NONE if child.id in seen else self.memo.get(key)
+                if got is None:
+                    got = yield key, self._span, (child, cl, cr, seen)
+            got = [op for op in got if self.prec.admits(plan, i, op)]
+            if not got:
+                return None
+            admitted.append(got)
+        return admitted
+
+    def _span(self, sym: Symbol, l: int, r: int, visited: frozenset):
+        out = set()
+        for plan, bounds, _ in _splits(sym, l, r, self.bsrs):
+            if (yield from self._children(sym, plan, bounds, l, r, visited)) is not None:
+                out.add(self.prec.operator(plan, bounds, self.input))
+        return frozenset(out)
+
+    def splits(self, sym: Symbol, l: int, r: int, visited: frozenset, admitted):
+        """The splits of sym over l..r with a kept tree whose root operator
+        is in admitted (any, when None), each with its children's admitted
+        classes."""
+        key = (sym.id, l, r, visited)
+        if key not in self.memo:
+            _fold(self.memo, key, self._span, (sym, l, r, visited))
+        for plan, bounds, _ in _splits(sym, l, r, self.bsrs):
+            if admitted is None or self.prec.operator(plan, bounds, self.input) in admitted:
+                # folding the span read every class that a split needs, so
+                # _children returns at once
+                children = yield from self._children(sym, plan, bounds, l, r, visited)
+                if children is not None:
+                    yield plan, bounds, children
 
 
 def extract_errors(state: ParseState, n: int = 3,

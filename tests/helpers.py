@@ -9,6 +9,7 @@ from pathlib import Path
 from gllkit.core import render_id, render_slot
 from gllkit.dsl import GrammarAst, Lit, Ref, parse_grammar
 from gllkit.engine import Symbol, Token
+from gllkit.forest import Leaf
 
 GRAMMARS = Path(__file__).resolve().parent.parent / "grammars"
 
@@ -200,3 +201,112 @@ def brute_count(ast: GrammarAst, start: str, text: str) -> int:
         return total
 
     return nt_count(start, 0, len(text), frozenset())
+
+
+def random_operator_grammar(rng: random.Random) -> tuple[str, list]:
+    """A random expression grammar over E and its precedence groups.
+
+    E has 1-3 binary operators, sometimes a prefix '~' and parentheses, and
+    atoms 'a' and sometimes a %digit token; the atoms and parentheses sit
+    in E itself or in a second nonterminal P, which may also derive E, a
+    cycle that the walk curtails. Some operators are
+    named-pattern tokens, which declare no operator by name but whose leaves
+    are judged by their values. Each operator character appears in one
+    alternate only, so a tree node's children name its alternate. The
+    groups (assoc, [quoted chars]) come in random order, and some operators
+    stay undeclared."""
+    ops = rng.sample("+*-^/", rng.randint(1, 3))
+    tokens, alts, atoms = [], [], ["'a'"]
+    for k, op in enumerate(ops):
+        if rng.random() < 0.25:
+            tokens.append(f"%token o{k} '{op}'")
+            alts.append(f"E o{k} E")
+        else:
+            alts.append(f"E '{op}' E")
+    if rng.random() < 0.5:
+        alts.append("'~' E")
+        ops.append("~")
+    if rng.random() < 0.5:
+        atoms.append("'(' E ')'")
+    if rng.random() < 0.5:
+        tokens.append("%token num %digit")
+        atoms.append("num")
+    lines = [*tokens]
+    declared = rng.sample(ops, rng.randint(1, len(ops)))
+    groups = []
+    while declared:
+        size = rng.randint(1, len(declared))
+        names, declared = [f"'{c}'" for c in declared[:size]], declared[size:]
+        groups.append((rng.choice(["left", "right", "nonassoc"]), names))
+    lines += [f"%{assoc} " + " ".join(names) for assoc, names in groups]
+    if rng.random() < 0.5:
+        cycle = ["E"] if rng.random() < 0.3 else []
+        lines += ["E: " + " | ".join(alts + ["P"]), "P: " + " | ".join(atoms + cycle)]
+    else:
+        lines.append("E: " + " | ".join(alts + atoms))
+    return "\n".join(lines) + "\n", groups
+
+
+def random_expression(rng: random.Random, grammar: str, operands: int) -> str:
+    """A random sentence of a random_operator_grammar with that many
+    operands."""
+    binary = [c for c in "+*-^/" if f"'{c}'" in grammar]
+    atoms = "a1" if "%digit" in grammar else "a"
+
+    def expr(n: int) -> str:
+        if n == 1:
+            out = rng.choice(atoms)
+        else:
+            k = rng.randint(1, n - 1)
+            out = expr(k) + rng.choice(binary) + expr(n - k)
+        if "'~'" in grammar and rng.random() < 0.2:
+            out = "~" + out
+        if "'('" in grammar and rng.random() < 0.2:
+            out = "(" + out + ")"
+        return out
+    return expr(operands)
+
+
+def precedence_keeps(tree, start: Symbol, groups) -> bool:
+    """The precedence rule applied at every node of a built tree. A node's
+    alternate is the one whose symbols match its children (the test grammars
+    have one). The alternate's operator is its rightmost token declared by
+    name; a child's root operator is its rightmost token leaf whose quoted
+    value is declared. A child is refused when its root operator binds
+    looser, or equally on the side the associativity forbids (either side
+    for nonassoc)."""
+    levels = {name: (level, assoc)
+              for level, (assoc, names) in enumerate(groups) for name in names}
+    nts = reachable_nonterminals(start)
+
+    def matches(plan, children) -> bool:
+        return len(plan.symbols) == len(children) and all(
+            isinstance(s, Token) and s.pattern.classifier(c.value) is not None
+            if isinstance(c, Leaf) else s.id is c.symbol
+            for s, c in zip(plan.symbols, children))
+
+    def root(node):
+        leaves = [f"'{c.value}'" for c in getattr(node, "children", ())
+                  if isinstance(c, Leaf)]
+        return next((op for op in reversed(leaves) if op in levels), None)
+
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Leaf):
+            continue
+        (plan,) = [p for p in nts[node.symbol].plans() if matches(p, node.children)]
+        at = [i for i, s in enumerate(plan.symbols)
+              if isinstance(s, Token) and s.id.name in levels]
+        if at:
+            level, assoc = levels[plan.symbols[at[-1]].id.name]
+            for i, child in enumerate(node.children):
+                op = root(child)
+                if op is None:
+                    continue
+                child_level = levels[op][0]
+                if child_level < level or child_level == level and (
+                        assoc == "nonassoc" or (assoc == "left") == (i > at[-1])):
+                    return False
+        todo.extend(node.children)
+    return True

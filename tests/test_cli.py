@@ -178,6 +178,35 @@ class TestParse:
         lines = out.splitlines()
         assert lines[-1] == "1 trees"
 
+    def test_left_assoc_first_tree_is_polynomial(self):
+        """40 operators: the filter decides per split, so the one tree comes
+        without building the Catalan-many others."""
+        tree = "(Expr 0 1 'a'@0)"
+        for p in range(2, 82, 2):
+            tree = f"(Expr 0 {p + 1} {tree} '+'@{p - 1} (Expr {p} {p + 1} 'a'@{p}))"
+        done = run_fresh("parse", "--grammar", g("expr_left.g"), "--start", "Expr",
+                         "--max-trees", "1", "--text", "+".join("a" * 41))
+        assert (done.returncode, done.stdout, done.stderr) == (0, tree + "\n1 trees\n", "")
+
+    def test_right_assoc(self, capsys, tmp_path):
+        grammar = tmp_path / "r.g"
+        grammar.write_text("%right '+'\nExpr: Expr '+' Expr | 'a'\n")
+        code, out, _ = run_cli(capsys, "parse", "--grammar", str(grammar),
+                               "--start", "Expr", "--text", "a+a+a")
+        assert code == 0 and out == ("(Expr 0 5 (Expr 0 1 'a'@0) '+'@1 (Expr 2 5 "
+                                     "(Expr 2 3 'a'@2) '+'@3 (Expr 4 5 'a'@4)))\n1 trees\n")
+
+    @pytest.mark.parametrize("text, trees", [("a=a+a", 1), ("a=a=a", 0)])
+    def test_nonassoc(self, capsys, tmp_path, text, trees):
+        grammar = tmp_path / "n.g"
+        grammar.write_text("%nonassoc '='\n%left '+'\n"
+                           "Expr: Expr '=' Expr | Expr '+' Expr | 'a'\n")
+        code, out, _ = run_cli(capsys, "parse", "--grammar", str(grammar),
+                               "--start", "Expr", "--text", text)
+        assert code == 0 and out.splitlines()[-1] == f"{trees} trees"
+        if trees:
+            assert out.startswith("(Expr 0 5 (Expr 0 1 'a'@0) '='@1 (Expr 2 5 ")
+
     def test_truncation_note(self, capsys):
         _, out, _ = run_cli(capsys, "parse", "--grammar", g("expr.g"),
                             "--start", "Expr", "--text", "a+a+a+a+a",

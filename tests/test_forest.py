@@ -19,9 +19,7 @@ from gllkit.forest import (
     COUNT_CAP,
     Leaf,
     PrecedenceFilter,
-    SplitCandidate,
     TreeNode,
-    apply_filters,
     count_derivations,
     enumerate_splits,
     evaluate,
@@ -35,8 +33,11 @@ from helpers import (
     brute_count,
     instance_left_recursive,
     load_grammar,
+    precedence_keeps,
+    random_expression,
     random_grammar,
     random_input,
+    random_operator_grammar,
     reachable_nonterminals,
 )
 
@@ -485,20 +486,58 @@ class TestFilters:
         assert root_ops == ["+"]
 
     def test_no_filters_is_identity(self):
-        cands = [SplitCandidate(None, (0, 1), ())]
-        assert apply_filters([], cands) == cands
-
-    def test_filters_are_contractive_and_idempotent(self):
         elab = expr_elaborator("%left '+'\nExpr: Expr '+' Expr | 'a'\n")
         sym = elab.start_symbol("Expr")
-        _, state = run_recognize(sym, "a+a+a")
-        plan = sym.plans()[0]
-        flt = [elab.precedence_filter()]
-        all_trees = extract_trees(sym, "a+a+a", state.bsrs)
-        cands = [SplitCandidate(plan, (0, 1, 2, 5), t.children) for t in all_trees]
-        once = apply_filters(flt, cands)
-        assert set(apply_filters(flt, once)) == set(once)
-        assert set(once) <= set(cands)
+        text = "a+a+a+a"
+        _, state = run_recognize(sym, text)
+        trees = extract_trees(sym, text, state.bsrs)
+        assert extract_trees(sym, text, state.bsrs, filters=[]) == trees
+        assert len(set(trees)) == len(trees) == 5
+
+    def test_filters_are_contractive_and_idempotent(self):
+        """The filtered trees are a subsequence of the unfiltered ones, and
+        the rule keeps each of them."""
+        groups = [("left", ["'+'"]), ("right", ["'*'"])]
+        elab = expr_elaborator("Expr: Expr '+' Expr | Expr '*' Expr | 'a'\n")
+        sym = elab.start_symbol("Expr")
+        text = "a*a+a*a+a"
+        _, state = run_recognize(sym, text)
+        every = iter(extract_trees(sym, text, state.bsrs))
+        kept = extract_trees(sym, text, state.bsrs, filters=[prec(groups)])
+        assert len(kept) == 1 and all(t in every for t in kept)
+        assert all(precedence_keeps(t, sym, groups) for t in kept)
+
+
+class TestPrecedenceDifferential:
+    """On random operator grammars, the filtered trees are the unfiltered
+    enumeration kept by the rule applied at every node of each built tree,
+    in the same order, and a limit gives a prefix of them."""
+
+    def test_random_operator_grammars(self):
+        rng = random.Random(2020)
+        pruned = kept = 0
+        for _ in range(300):
+            text, groups = random_operator_grammar(rng)
+            elab = Elaborator(parse_grammar(text))
+            sym = elab.start_symbol("E")
+            for _ in range(2):
+                sentence = random_expression(rng, text, rng.randint(1, 5))
+                accepted, state = run_recognize(sym, sentence)
+                assert accepted, (text, sentence)
+                count = count_derivations(sym, sentence, state.bsrs, 0, len(sentence))
+                if count.value > TREE_LIMIT:
+                    continue
+                every = extract_trees(sym, sentence, state.bsrs)
+                want = [t for t in every if precedence_keeps(t, sym, groups)]
+                flt = [elab.precedence_filter()]
+                got = extract_trees(sym, sentence, state.bsrs, filters=flt)
+                assert got == want, (text, sentence)
+                for k in (0, 1, len(want) // 2 + 1):
+                    assert extract_trees(sym, sentence, state.bsrs, limit=k,
+                                         filters=flt) == want[:k]
+                pruned += len(want) < len(every)
+                kept += len(want) > 1
+        assert pruned > 100 and kept > 20
 
 
 class TestErrors:
