@@ -3,7 +3,8 @@
 Surface syntax:
 
     %token NAME pattern        pattern = 'c' | [items] | %alpha | %digit | %any
-    %left 'c' ...              also %right / %nonassoc; later groups bind tighter
+    %left 'c' NAME ...         also %right / %nonassoc; later groups bind tighter;
+                               a NAME is a %token, and no token is declared twice
     Name(p, q): alt | alt      parameters optional; an empty alt is epsilon
     -- line comment
 
@@ -107,7 +108,7 @@ class TokenDecl:
 @dataclass(frozen=True)
 class PrecDecl:
     assoc: str  # "left" | "right" | "nonassoc"
-    names: tuple[str, ...]  # literal token names, quotes included
+    names: tuple[str, ...]  # token names: 'c' for a literal, else a %token's
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ class _Parser:
                 if text == "token":
                     tokens.append(self.token_decl())
                 elif text in ("left", "right", "nonassoc"):
-                    precs.append(self.prec_decl())
+                    precs.append(self.prec_decl(precs))
                 else:
                     raise GrammarError(f"unknown directive %{text}", line, col)
             elif kind == "end":
@@ -270,17 +271,25 @@ class _Parser:
         self.pos += 1
         return TokenDecl(name, spec)
 
-    def prec_decl(self) -> PrecDecl:
+    def prec_decl(self, precs: list[PrecDecl]) -> PrecDecl:
         toks = self.toks
         assoc = toks[self.pos][1]
         self.pos += 1
-        names = []
-        while toks[self.pos][0] == "lit":
-            names.append(f"'{toks[self.pos][1]}'")
+        names: list[str] = []
+        while True:
+            kind, text, line, col = toks[self.pos]
+            if kind == "lit":
+                name = f"'{text}'"
+            elif kind == "name" and not self._at_definition_header():
+                name = text
+            else:
+                break
+            if name in names or any(name in p.names for p in precs):
+                raise GrammarError(f"precedence of {name} declared twice", line, col)
+            names.append(name)
             self.pos += 1
         if not names:
-            tok = toks[self.pos]
-            raise GrammarError(f"%{assoc} needs at least one literal", tok[2], tok[3])
+            raise GrammarError(f"%{assoc} needs at least one token", line, col)
         return PrecDecl(assoc, tuple(names))
 
     def _at_definition_header(self) -> bool:
@@ -427,6 +436,8 @@ def validate(ast: GrammarAst) -> list[str]:
         for alt in d.alternates:
             for ref in alt:
                 _check_ref(ref, d.name, scope, token_names, arity, diags)
+    if ast.precedences:
+        _check_precedences(ast, token_names, diags)
     return diags
 
 
@@ -449,6 +460,26 @@ def _check_ref(ref: SymRef, where: str, scope: set, token_names: set,
         diags.append(f"undefined name {ref.name!r} in {where!r}")
     for a in ref.args:
         _check_ref(a, where, scope, token_names, arity, diags)
+
+
+def _check_precedences(ast: GrammarAst, token_names: set, diags: list) -> None:
+    # Each declared name is a %token, or a literal that some alternate or
+    # argument uses.
+    literals = set()
+    todo = [ref for d in ast.definitions for alt in d.alternates for ref in alt]
+    while todo:
+        ref = todo.pop()
+        if isinstance(ref, Lit):
+            literals.add(ref.token_name)
+        else:
+            todo.extend(ref.args)
+    for p in ast.precedences:
+        for name in p.names:
+            if not name.startswith("'"):
+                if name not in token_names:
+                    diags.append(f"%{p.assoc} names {name!r}, which is not a token")
+            elif name not in literals:
+                diags.append(f"%{p.assoc} names {name}, which occurs in no alternate")
 
 
 class Elaborator:

@@ -347,7 +347,7 @@ def iter_trees(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,
                visited: frozenset = frozenset(), classes=None, admitted=None):
     """Lazily yield derivation trees in deterministic order: splits ascending
     by boundary vector, alternates in definition order. With `classes`, a
-    RootClasses, only the trees its filter keeps whose root operator is in
+    RootClasses, only the trees its filter keeps whose root class is in
     `admitted` (any, when None)."""
     if isinstance(sym, Token):
         if evaluate_token(sym.pattern, input, l, r):
@@ -393,15 +393,17 @@ def extract_trees(sym: Symbol, input, bsrs: BsrSet,
 
 
 class PrecedenceFilter:
-    """Precedence and associativity declarations, decided per split.
+    """Precedence and associativity declarations, a relation between
+    alternates.
 
     `groups` is the ordered list of (assoc, [token names]) declarations;
-    later groups bind tighter. An alternate's operator is its rightmost
-    declared token; a tree's root operator is its root split's rightmost
-    token leaf whose quoted value is declared. A child is not admitted when
-    its root operator binds looser than the alternate's, or equally on the
-    disallowed side. The tree walk applies the filter; count and evaluate
-    do not yet.
+    later groups bind tighter. A name is a literal's, quotes included, or a
+    declared token's. An alternate's operator is (level, assoc, index) of its
+    rightmost token whose name is declared, or None, found once per plan. A
+    tree's root class is its root alternate's operator, so the input is never
+    read. A child is not admitted when its class binds looser than the
+    alternate's operator, or equally on the disallowed side. The tree walk
+    applies the filter; count and evaluate do not yet.
     """
 
     def __init__(self, groups: Sequence[tuple[str, Sequence[str]]]):
@@ -411,39 +413,32 @@ class PrecedenceFilter:
                 raise ValueError(f"unknown associativity {assoc!r}")
             for name in names:
                 self.levels[name] = (level, assoc)
+        self.operators: dict[AltPlan, Optional[tuple[int, str, int]]] = {}
 
-    def _operator_index(self, plan: AltPlan) -> Optional[int]:
-        for i in range(len(plan.symbols) - 1, -1, -1):
-            s = plan.symbols[i]
-            if isinstance(s, Token) and s.id.name in self.levels:
-                return i
-        return None
+    def operator(self, plan: AltPlan) -> Optional[tuple[int, str, int]]:
+        """The operator of plan, and so the root class of its trees."""
+        if plan not in self.operators:
+            self.operators[plan] = None
+            for i, s in enumerate(plan.symbols):
+                if isinstance(s, Token) and s.id.name in self.levels:
+                    self.operators[plan] = (*self.levels[s.id.name], i)
+        return self.operators[plan]
 
-    def operator(self, plan: AltPlan, bounds: tuple[int, ...], input) -> Optional[str]:
-        """The root operator of the trees of plan split at bounds."""
-        for i in range(len(plan.symbols) - 1, -1, -1):
-            if isinstance(plan.symbols[i], Token):
-                name = f"'{input[bounds[i]]}'"
-                if name in self.levels:
-                    return name
-        return None
-
-    def admits(self, plan: AltPlan, i: int, child_op: Optional[str]) -> bool:
-        """Whether a tree with root operator child_op may be child i of plan."""
-        op_index = self._operator_index(plan)
-        if op_index is None or child_op is None:
+    def admits(self, plan: AltPlan, i: int, child: Optional[tuple]) -> bool:
+        """Whether a tree of root class child may be child i of plan."""
+        op = self.operator(plan)
+        if op is None or child is None:
             return True
-        level, assoc = self.levels[plan.symbols[op_index].id.name]
-        child_level = self.levels[child_op][0]
-        if child_level != level:
-            return child_level > level
-        return assoc == "left" and i < op_index or assoc == "right" and i > op_index
+        level, assoc, at = op
+        if child[0] != level:
+            return child[0] > level
+        return assoc == "left" and i < at or assoc == "right" and i > at
 
 
 class RootClasses:
-    """The memo of one tree walk under a PrecedenceFilter: the root
-    operators (None for none) of the kept trees of each span (id, l, r,
-    visited), keyed and curtailed as evaluate's spans are."""
+    """The memo of one tree walk under a PrecedenceFilter: the root classes
+    of the kept trees of each span (id, l, r, visited), keyed and curtailed
+    as evaluate's spans are."""
 
     def __init__(self, prec: PrecedenceFilter, input, bsrs: BsrSet):
         self.prec, self.input, self.bsrs, self.memo = prec, input, bsrs, {}
@@ -472,18 +467,20 @@ class RootClasses:
         out = set()
         for plan, bounds, _ in _splits(sym, l, r, self.bsrs):
             if (yield from self._children(sym, plan, bounds, l, r, visited)) is not None:
-                out.add(self.prec.operator(plan, bounds, self.input))
+                out.add(self.prec.operator(plan))
         return frozenset(out)
 
     def splits(self, sym: Symbol, l: int, r: int, visited: frozenset, admitted):
-        """The splits of sym over l..r with a kept tree whose root operator
-        is in admitted (any, when None), each with its children's admitted
+        """The splits of sym over l..r with a kept tree whose root class is
+        in admitted (any, when None), each with its children's admitted
         classes."""
         key = (sym.id, l, r, visited)
         if key not in self.memo:
             _fold(self.memo, key, self._span, (sym, l, r, visited))
-        for plan, bounds, _ in _splits(sym, l, r, self.bsrs):
-            if admitted is None or self.prec.operator(plan, bounds, self.input) in admitted:
+        for plan in self.bsrs.alternates.get(sym.id, ()):
+            if admitted is not None and self.prec.operator(plan) not in admitted:
+                continue
+            for bounds in enumerate_splits(plan.slots, l, r, self.bsrs):
                 # folding the span read every class that a split needs, so
                 # _children returns at once
                 children = yield from self._children(sym, plan, bounds, l, r, visited)

@@ -209,18 +209,18 @@ def random_operator_grammar(rng: random.Random) -> tuple[str, list]:
     E has 1-3 binary operators, sometimes a prefix '~' and parentheses, and
     atoms 'a' and sometimes a %digit token; the atoms and parentheses sit
     in E itself or in a second nonterminal P, which may also derive E, a
-    cycle that the walk curtails. Some operators are
-    named-pattern tokens, which declare no operator by name but whose leaves
-    are judged by their values. Each operator character appears in one
+    cycle that the walk curtails. Some operators are named-pattern tokens
+    o{k}, declared by that name. Each operator character appears in one
     alternate only, so a tree node's children name its alternate. The
-    groups (assoc, [quoted chars]) come in random order, and some operators
+    groups (assoc, [token names]) come in random order, and some operators
     stay undeclared."""
     ops = rng.sample("+*-^/", rng.randint(1, 3))
-    tokens, alts, atoms = [], [], ["'a'"]
+    tokens, alts, atoms, names_of = [], [], ["'a'"], {}
     for k, op in enumerate(ops):
         if rng.random() < 0.25:
             tokens.append(f"%token o{k} '{op}'")
             alts.append(f"E o{k} E")
+            names_of[op] = f"o{k}"
         else:
             alts.append(f"E '{op}' E")
     if rng.random() < 0.5:
@@ -236,7 +236,8 @@ def random_operator_grammar(rng: random.Random) -> tuple[str, list]:
     groups = []
     while declared:
         size = rng.randint(1, len(declared))
-        names, declared = [f"'{c}'" for c in declared[:size]], declared[size:]
+        names = [names_of.get(c, f"'{c}'") for c in declared[:size]]
+        declared = declared[size:]
         groups.append((rng.choice(["left", "right", "nonassoc"]), names))
     lines += [f"%{assoc} " + " ".join(names) for assoc, names in groups]
     if rng.random() < 0.5:
@@ -271,8 +272,8 @@ def precedence_keeps(tree, start: Symbol, groups) -> bool:
     """The precedence rule applied at every node of a built tree. A node's
     alternate is the one whose symbols match its children (the test grammars
     have one). The alternate's operator is its rightmost token declared by
-    name; a child's root operator is its rightmost token leaf whose quoted
-    value is declared. A child is refused when its root operator binds
+    name, and a child is judged by the operator of the alternate it matched,
+    never by its leaf values. A child is refused when its operator binds
     looser, or equally on the side the associativity forbids (either side
     for nonassoc)."""
     levels = {name: (level, assoc)
@@ -285,28 +286,30 @@ def precedence_keeps(tree, start: Symbol, groups) -> bool:
             if isinstance(c, Leaf) else s.id is c.symbol
             for s, c in zip(plan.symbols, children))
 
-    def root(node):
-        leaves = [f"'{c.value}'" for c in getattr(node, "children", ())
-                  if isinstance(c, Leaf)]
-        return next((op for op in reversed(leaves) if op in levels), None)
+    def operator(node):
+        """(level, assoc, index) of the operator of node's alternate, or None
+        for a leaf or an alternate without one."""
+        if isinstance(node, Leaf):
+            return None
+        (plan,) = [p for p in nts[node.symbol].plans() if matches(p, node.children)]
+        at = [i for i, s in enumerate(plan.symbols)
+              if isinstance(s, Token) and s.id.name in levels]
+        return (*levels[plan.symbols[at[-1]].id.name], at[-1]) if at else None
 
     todo = [tree]
     while todo:
         node = todo.pop()
         if isinstance(node, Leaf):
             continue
-        (plan,) = [p for p in nts[node.symbol].plans() if matches(p, node.children)]
-        at = [i for i, s in enumerate(plan.symbols)
-              if isinstance(s, Token) and s.id.name in levels]
-        if at:
-            level, assoc = levels[plan.symbols[at[-1]].id.name]
+        op = operator(node)
+        if op is not None:
+            level, assoc, at = op
             for i, child in enumerate(node.children):
-                op = root(child)
-                if op is None:
+                child_op = operator(child)
+                if child_op is None:
                     continue
-                child_level = levels[op][0]
-                if child_level < level or child_level == level and (
-                        assoc == "nonassoc" or (assoc == "left") == (i > at[-1])):
+                if child_op[0] < level or child_op[0] == level and (
+                        assoc == "nonassoc" or (assoc == "left") == (i > at)):
                     return False
         todo.extend(node.children)
     return True

@@ -207,6 +207,39 @@ class TestParse:
         if trees:
             assert out.startswith("(Expr 0 5 (Expr 0 1 'a'@0) '='@1 (Expr 2 5 ")
 
+    @pytest.mark.parametrize("assoc, leaning", [
+        ("left", "(E 0 5 (E 0 3 (E 0 1 'a'@0) "),
+        ("right", "(E 0 5 (E 0 1 'a'@0) '+'@1 (E 2 5 ")])
+    def test_named_operator_is_declared_by_name(self, capsys, tmp_path, assoc, leaning):
+        """`%left plus` disambiguates E plus E as `%left '+'` does E '+' E:
+        the same output, one tree."""
+        named, literal = tmp_path / "named.g", tmp_path / "literal.g"
+        named.write_text(f"%token plus '+'\n%{assoc} plus\nE: E plus E | 'a'\n")
+        literal.write_text(f"%{assoc} '+'\nE: E '+' E | 'a'\n")
+        outs = [run_cli(capsys, "parse", "--grammar", str(grammar), "--start", "E",
+                        "--text", "a+a+a") for grammar in (named, literal)]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and outs[0][1].startswith(leaning)
+        assert outs[0][1].endswith(")\n1 trees\n")
+
+    def test_named_operator_in_words_mode(self, capsys, tmp_path):
+        named, literal = tmp_path / "named.g", tmp_path / "literal.g"
+        named.write_text("%token plus '+'\n%left plus\nE: E plus E | 'a'\n")
+        literal.write_text("%left '+'\nE: E '+' E | 'a'\n")
+        _, want, _ = run_cli(capsys, "parse", "--grammar", str(literal), "--start", "E",
+                             "--mode", "words", "--text", "a + a + a")
+        code, out, _ = run_cli(capsys, "parse", "--grammar", str(named), "--start", "E",
+                               "--mode", "words", "--text", "a plus a plus a")
+        assert code == 0 and out == want.replace("'+'", "'plus'")
+        assert out.startswith("(E 0 5 (E 0 3 ") and out.endswith(")\n1 trees\n")
+
+    def test_token_declared_twice_is_an_error(self, capsys, tmp_path):
+        grammar = tmp_path / "twice.g"
+        grammar.write_text("%left '+'\n%right '+'\nE: E '+' E | 'a'\n")
+        code, out, err = run_cli(capsys, "parse", "--grammar", str(grammar),
+                                 "--start", "E", "--text", "a+a")
+        assert (code, out, err) == (2, "", "error: 2:8: precedence of '+' declared twice\n")
+
     def test_truncation_note(self, capsys):
         _, out, _ = run_cli(capsys, "parse", "--grammar", g("expr.g"),
                             "--start", "Expr", "--text", "a+a+a+a+a",

@@ -58,6 +58,11 @@ class TestParsing:
         assert ast.precedences == (PrecDecl("left", ("'-'", "'+'")),
                                    PrecDecl("left", ("'*'", "'/'")))
 
+    def test_precedence_of_named_tokens(self):
+        ast = parse_grammar("%token plus '+'\n%left plus '-'\nE(x): E(x) plus E(x) | x\n")
+        assert ast.precedences == (PrecDecl("left", ("plus", "'-'")),)
+        assert ast.definitions[0].name == "E"
+
     def test_comments_and_whitespace(self):
         ast = parse_grammar("-- header\nX: 'a' -- trailing\n   | 'b'\n")
         assert len(ast.definitions[0].alternates) == 2
@@ -95,7 +100,7 @@ class TestParsing:
 
 class TestValidation:
     def test_corpus_grammars_are_clean(self):
-        for name in ("e.g", "csv.g", "expr.g", "list.g", "anbncn.g",
+        for name in ("e.g", "csv.g", "expr.g", "expr_left.g", "list.g", "anbncn.g",
                      "permutation.g", "tuples.g"):
             assert validate(load_grammar(name)) == []
 
@@ -123,6 +128,17 @@ class TestValidation:
     def test_token_applied_to_arguments(self):
         diags = validate(parse_grammar("%token t 'a'\nS: t(S)\n"))
         assert any("token" in d for d in diags)
+
+    @pytest.mark.parametrize("text, diag", [
+        ("%left E\nE: E '+' E | 'a'\n", "%left names 'E', which is not a token"),
+        ("%right '+' 'x'\nE: E '+' E | 'a'\n", "%right names 'x', which occurs in no alternate"),
+    ])
+    def test_precedence_of_no_token_in_use(self, text, diag):
+        assert validate(parse_grammar(text)) == [diag]
+
+    def test_precedence_of_a_literal_argument(self):
+        text = "%token plus '+'\n%left plus '*'\nE: Bin(E, '*') | E plus E | 'a'\nBin(x, o): x o x\n"
+        assert validate(parse_grammar(text)) == []
 
     def test_elaborator_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -258,14 +274,15 @@ def grammar_asts(draw):
         alts = draw(st.lists(st.lists(symrefs, max_size=3).map(tuple),
                              min_size=1, max_size=3).map(tuple))
         defs.append(NtDef(name, (), alts))
-    precs = draw(st.lists(
-        st.tuples(st.sampled_from(["left", "right", "nonassoc"]),
-                  st.lists(st.sampled_from(["'+'", "'*'"]), min_size=1,
-                           max_size=2, unique=True).map(tuple)),
-        max_size=2))
-    return GrammarAst(tuple(TokenDecl(n, p) for n, p in tokens),
-                      tuple(PrecDecl(a, ns) for a, ns in precs),
-                      tuple(defs))
+    # no token in two groups, which the parser rejects
+    declared = draw(st.lists(st.sampled_from(["'+'", "'*'"] + token_names), unique=True))
+    precs = []
+    while declared:
+        size = draw(st.integers(1, len(declared)))
+        assoc = draw(st.sampled_from(["left", "right", "nonassoc"]))
+        precs.append(PrecDecl(assoc, tuple(declared[:size])))
+        declared = declared[size:]
+    return GrammarAst(tuple(TokenDecl(n, p) for n, p in tokens), tuple(precs), tuple(defs))
 
 
 class TestRoundTrip:
@@ -325,8 +342,11 @@ class TestErrorPositions:
         ("X: )\n", "expected declaration, found ')'", 1, 4),
         ("'a'", "expected declaration, found 'a'", 1, 1),
         ("%foo 'a'\n", "unknown directive %foo", 1, 1),
-        ("%left X: 'a'\n", "%left needs at least one literal", 1, 7),
-        ("X: 'a'\n%right", "%right needs at least one literal", 2, 1),
+        ("%left X: 'a'\n", "%left needs at least one token", 1, 7),
+        ("X: 'a'\n%right", "%right needs at least one token", 2, 1),
+        ("%left '+' '*' '+'\n", "precedence of '+' declared twice", 1, 15),
+        ("%left '+'\n%right '-' '+'\n", "precedence of '+' declared twice", 2, 12),
+        ("%token p '+'\n%left p\n%nonassoc\tp\n", "precedence of p declared twice", 3, 11),
     ])
     def test_parse_grammar(self, text, message, line, column):
         with pytest.raises(GrammarError) as err:
