@@ -289,7 +289,7 @@ class _Parser:
             names.append(name)
             self.pos += 1
         if not names:
-            raise GrammarError(f"%{assoc} needs at least one token", line, col)
+            raise GrammarError(f"%{assoc} needs at least one literal or token name", line, col)
         return PrecDecl(assoc, tuple(names))
 
     def _at_definition_header(self) -> bool:

@@ -342,8 +342,8 @@ class TestErrorPositions:
         ("X: )\n", "expected declaration, found ')'", 1, 4),
         ("'a'", "expected declaration, found 'a'", 1, 1),
         ("%foo 'a'\n", "unknown directive %foo", 1, 1),
-        ("%left X: 'a'\n", "%left needs at least one token", 1, 7),
-        ("X: 'a'\n%right", "%right needs at least one token", 2, 1),
+        ("%left X: 'a'\n", "%left needs at least one literal or token name", 1, 7),
+        ("X: 'a'\n%right", "%right needs at least one literal or token name", 2, 1),
         ("%left '+' '*' '+'\n", "precedence of '+' declared twice", 1, 15),
         ("%left '+'\n%right '-' '+'\n", "precedence of '+' declared twice", 2, 12),
         ("%token p '+'\n%left p\n%nonassoc\tp\n", "precedence of p declared twice", 3, 11),
