@@ -86,32 +86,37 @@ class Nonterminal(Symbol):
     the first time the symbol is matched or evaluated.
     """
 
-    __slots__ = ("_plans", "_thunk")
+    __slots__ = ("_plans", "_thunk", "left_recursive")
 
     def __init__(self, id: SymbolId, plans: Optional[Iterable[AltPlan]] = None,
                  thunk: Optional[Callable[[], Iterable[AltPlan]]] = None):
         if (plans is None) == (thunk is None):
             raise ValueError("exactly one of plans/thunk required")
         self.id = id
-        self._plans = None if plans is None else _share_duplicates(plans)
+        self._plans = None
         self._thunk = thunk
+        # whether an alternate calls this nonterminal first, set with the plans
+        self.left_recursive = False
+        if plans is not None:
+            self._set_plans(plans)
 
     def plans(self) -> tuple[AltPlan, ...]:
         if self._plans is None:
-            self._plans = _share_duplicates(self._thunk())
+            self._set_plans(self._thunk())
             self._thunk = None
         return self._plans
 
-
-def _share_duplicates(plans: Iterable[AltPlan]) -> tuple[AltPlan, ...]:
-    """The plans, where a duplicate alternate (the symbol ids of an earlier
-    one) takes the earlier one's slot chain, so that it starts once."""
-    plans = tuple(plans)
-    chains: dict = {}
-    for plan in plans:
-        key = tuple([s.id for s in plan.symbols])
-        plan.slots = chains.setdefault(key, plan.slots)
-    return plans
+    def _set_plans(self, plans: Iterable[AltPlan]) -> None:
+        """Keep the plans, where a duplicate alternate (the symbol ids of an
+        earlier one) takes the earlier one's slot chain, so that it starts
+        once, and note whether one of them is left-recursive."""
+        self._plans = plans = tuple(plans)
+        chains: dict = {}
+        for plan in plans:
+            key = tuple([s.id for s in plan.symbols])
+            plan.slots = chains.setdefault(key, plan.slots)
+            if key and key[0] is self.id:
+                self.left_recursive = True
 
 
 def token_symbol(pattern: TokenPattern) -> Token:
@@ -155,6 +160,11 @@ def lazy_nonterminal(sid: SymbolId, thunk: Callable[[], Iterable[AltPlan]]) -> N
 # (plan.slots[i], l, r), which is queued once, so grel keeps plain lists.
 # Commencements are plain (X, l) tuples here; they equal Commencement.
 #
+# A new commencement whose one continuation is in tail position (i ==
+# len(plan.symbols)), the only one of its key, is linked to its caller (Leo
+# 1991): its extents are recorded once, at its chain, and ascend at the
+# chain's top. A second call, or a second continuation of the key, unlinks it.
+#
 # Every descriptor is queued once. One after slot 0 is made together with a
 # BSR element of the same (slot, l, r), so it is new exactly when that forest
 # key is new. Slot-0 descriptors are queued only when descend starts a new
@@ -175,6 +185,8 @@ def _alternates(state: ParseState, sym: Nonterminal, l: int) -> None:
                 raise ResourceExhausted(
                     f"instantiation budget of {budget} exhausted", state)
         plans = bsrs.alternates[sym.id] = sym.plans()
+        if sym.left_recursive:
+            state.prel.left_recursive.add(sym.id)
     if state.reverse_alternates:
         plans = tuple(reversed(plans))
     starts = state.starts
@@ -224,10 +236,27 @@ def descend(sym: Nonterminal, k: int, plan: AltPlan, i: int, l: int,
     bsrs = state.bsrs
     rights = bsrs.rights(plan.slots[i], l)
     c = (sym.id, k)
-    if state.grel.add(c, (plan, i, l, rights)):
+    cont = (plan, i, l, rights)
+    new = state.grel.add(c, cont)
+    prel = state.prel
+    tail = i == len(plan.symbols)
+    if prel.links:
+        if tail and not rights:
+            prel.carry((plan.slots[i], l))
+        if not new and c in prel.links:  # called twice: c is linked no more
+            prel.unlink(c)
+    if new:
         _alternates(state, sym, k)
+        # in tail position, c links below the caller if no alternate of c
+        # calls c again at once, the run started the caller's nonterminal,
+        # and cont is its key's one continuation (key (slot i-1, l, k) calls
+        # only (X, k))
+        if tail and c[0] not in prel.left_recursive and (
+                plan.lhs in bsrs.alternates) and (
+                i == 1 or len(bsrs.rights(plan.slots[i - 1], l)) == 1):
+            prel.link(c, (plan.lhs, l), cont)
         return
-    extents = state.prel.extents(c)
+    extents = prel.extents(c)
     queue = state.queue
     made = 0
     for r in extents:
@@ -241,9 +270,26 @@ def descend(sym: Nonterminal, k: int, plan: AltPlan, i: int, l: int,
 
 def ascend(c: tuple[SymbolId, int], r: int, state: ParseState) -> None:
     """Record extent r of c = (X, k); when it is new, apply every continuation
-    registered on c (descend has applied a later one to it)."""
-    if not state.prel.add(c, r):
+    registered on c (descend has applied a later one to it). A linked c's
+    chain records r once and counts the work at each node it reaches as if
+    done there; r ascends at the chain's top when it is new there."""
+    prel = state.prel
+    new = prel.add(c, r)
+    if not new:
         return
+    if new is not True:
+        (c, deepest), d, _, _ = new  # c is the top of the chain now
+        known = deepest.get(r, 0)
+        if known >= d:
+            return
+        deepest[r] = d
+        bsrs = state.bsrs
+        prel.size += d - known
+        bsrs.size += d - known
+        bsrs.nkeys += d - known
+        state.stats.descriptors_skipped += d - known
+        if known or not prel.add(c, r):
+            return
     conts = state.grel.continuations(c)
     queue = state.queue
     made = 0
@@ -271,6 +317,7 @@ def _drive(state: ParseState) -> None:
         plan, i, l, r = pop()
         stats.descriptors_processed += 1
         _act(state, plan, i, l, r)
+    stats.descriptors_processed += stats.descriptors_skipped  # see Stats
 
 
 def _start_parse(s: Symbol, input, fuel: Optional[int], lifo: bool,

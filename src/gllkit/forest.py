@@ -93,6 +93,12 @@ def enumerate_splits(slots: Sequence[Slot], l: int, r: int, bsrs: BsrSet) -> lis
     return results
 
 
+def _drained(bsrs: BsrSet) -> None:
+    """A stopped run's forest holds part of its keys: reading it raises."""
+    if bsrs.stopped is not None:
+        raise ValueError(f"the forest of a stopped run cannot be read: {bsrs.stopped}")
+
+
 def evaluate_token(pattern: TokenPattern, input, l: int, r: int) -> list:
     """The token's value when the extents are one apart and it matches."""
     if r == l + 1 and l < len(input) and pattern.classifier(input[l]) is not None:
@@ -136,6 +142,7 @@ def evaluate(sym: Symbol, input, bsrs: BsrSet, l: int, r: int) -> list:
     alternates in definition order, splits ascending, child values combined
     with the first child varying slowest. Each span's values are computed
     once and shared by every parent that uses the span."""
+    _drained(bsrs)
     if isinstance(sym, Token):
         return evaluate_token(sym.pattern, input, l, r)
     memo: dict = {}
@@ -201,6 +208,7 @@ def count_derivations(sym: Symbol, input, bsrs: BsrSet, l: int, r: int) -> Deriv
     in a cycle, as in E: E E E | 'a' |, are its spans counted with the ids
     not to re-enter at a..b. Sums and products saturate at COUNT_CAP + 1,
     which leaves them exact below it."""
+    _drained(bsrs)
     if isinstance(sym, Token):
         return DerivationCount(len(evaluate_token(sym.pattern, input, l, r)), False)
     cap, alternates, empty, memo = COUNT_CAP + 1, bsrs.alternates, {}, {}
@@ -387,6 +395,7 @@ def extract_trees(sym: Symbol, input, bsrs: BsrSet,
                   limit: Optional[int] = None, filters: Sequence = ()) -> list:
     """Up to `limit` full-extent derivation trees, a prefix of the unlimited
     enumeration; `filters` holds at most one PrecedenceFilter."""
+    _drained(bsrs)
     classes = RootClasses(*filters, input, bsrs) if filters else None
     gen = iter_trees(sym, input, bsrs, 0, len(input), frozenset(), classes)
     return list(gen if limit is None else islice(gen, limit))

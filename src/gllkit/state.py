@@ -26,11 +26,13 @@ from .core import (
 
 class ResourceExhausted(Exception):
     """Raised when a parse run exceeds its fuel budget (descriptors processed)
-    or its instantiation budget; `state` is the run as it stood at the trip."""
+    or its instantiation budget; `state` is the run as it stood at the trip,
+    its forest marked stopped."""
 
     def __init__(self, message: str, state: "ParseState") -> None:
         super().__init__(message)
         self.state = state
+        state.bsrs.stopped = message
 
 
 class ContinuationRelation:
@@ -88,19 +90,35 @@ _NONE: frozenset = frozenset()
 
 class ExtentRelation:
     """prel: the right extents r found per commencement (X, k), indexed both
-    ways, (X, k) -> {r} and (X, r) -> {k}, plus their number."""
+    ways, (X, k) -> {r} and (X, r) -> {k}, plus their number.
 
-    __slots__ = ("_rights", "_lefts", "size")
+    `links` maps a linked commencement, which stores no extents, to [its
+    chain, its depth, its one continuation, the last one linked below it].
+    A chain (top, deepest) is a path of commencements below top, each called
+    in tail position by the one above. A node has the extents found at it or
+    below it: deepest maps each to the depth of its deepest origin, and the
+    node at depth d has r iff deepest[r] >= d. `carriers` maps a forest key
+    (slot, l) to the last commencement linked by a continuation of that key;
+    it or the one below may be unlinked since. An id in `left_recursive` has
+    an alternate that calls it first: no link."""
+
+    __slots__ = ("_rights", "_lefts", "size", "links", "carriers", "left_recursive")
 
     def __init__(self) -> None:
         self._rights: dict[tuple[SymbolId, int], set[int]] = {}
         self._lefts: dict[tuple[SymbolId, int], set[int]] = {}
         self.size = 0
+        self.links: dict[tuple[SymbolId, int], list] = {}
+        self.carriers: dict[tuple[Slot, int], tuple[SymbolId, int]] = {}
+        self.left_recursive: set[SymbolId] = set()
 
-    def add(self, c: tuple[SymbolId, int], r: int) -> bool:
-        """Record extent r of c = (X, k); True iff it is new."""
+    def add(self, c: tuple[SymbolId, int], r: int):
+        """Record extent r of c = (X, k); True iff it is new. A linked c
+        stores none: its link is returned, for r to be recorded at its chain."""
         rights = self._rights.get(c)
         if rights is None:
+            if self.links and c in self.links:
+                return self.links[c]
             self._rights[c] = {r}
         elif r in rights:
             return False
@@ -115,23 +133,82 @@ class ExtentRelation:
         self.size += 1
         return True
 
+    def link(self, c: tuple[SymbolId, int], caller: tuple[SymbolId, int],
+             cont: tuple) -> None:
+        """Link new c below caller, whose continuation cont, the only one of
+        its key so far, calls c in tail position: in a new chain below an
+        unlinked caller, else at the end of the caller's, if it is the end."""
+        above = self.links.get(caller)
+        if above is None:
+            self.links[c] = [(caller, {}), 1, cont, None]
+        elif above[3] not in self.links:
+            above[3] = c
+            self.links[c] = [above[0], above[1] + 1, cont, None]
+        else:
+            return
+        plan, i, l, _ = cont
+        self.carriers[(plan.slots[i], l)] = c
+
+    def carry(self, key: tuple[Slot, int]) -> None:
+        """A further continuation of key is registered: unlink the one
+        linked, since the keys of two continuations may overlap."""
+        c = self.carriers.get(key)
+        if c in self.links:
+            self.unlink(c)
+
+    def unlink(self, c: tuple[SymbolId, int]) -> None:
+        """Store linked c's extents and its continuation's keys, and make c
+        the top of the nodes below it. The descriptors of those keys stay
+        skipped: their effect, each extent at c's caller, is in place."""
+        (_, deepest), d, cont, node = link = self.links.pop(c)
+        extents = _reached(*link)
+        if node in self.links:
+            lower = (c, {r: e - d for r, e in deepest.items() if e > d})
+            while node in self.links:
+                moved = self.links[node]
+                moved[:2] = lower, moved[1] - d
+                node = moved[3]
+        for r in extents:
+            deepest[r] = d - 1
+            self.add(c, r)
+        self.size -= len(extents)  # counted when the chain took them
+        cont[3].update(extents)
+
+    def has(self, c: tuple[SymbolId, int], r: int) -> bool:
+        link = self.links.get(c)
+        if link is None:
+            return r in self._rights.get(c, _NONE)
+        return link[0][1].get(r, 0) >= link[1]
+
     def extents(self, c: Commencement):
-        """The stored set of c's right extents, unordered (hot path)."""
-        return self._rights.get(c, _NONE)
+        """c's right extents, unordered: stored, or a linked c's (hot path)."""
+        link = self.links.get(c) if self.links else None
+        return self._rights.get(c, _NONE) if link is None else _reached(*link)
 
     def extents_for(self, c: Commencement) -> list[int]:
         """c's right extents, ascending."""
-        return sorted(self._rights.get(c, _NONE))
+        return sorted(self.extents(c))
 
     def lefts(self, x: SymbolId, r: int):
         """The left extents k with r among the extents of (x, k), unordered."""
-        return self._lefts.get((x, r), _NONE)
+        linked = self.lefts_in(x, [k for y, k in self.links if y is x], r)
+        return self._lefts.get((x, r), _NONE) | linked
+
+    def lefts_in(self, x: SymbolId, ks, r: int) -> set[int]:
+        """The k in ks with r among the extents of (x, k)."""
+        return {k for k in ks if self.has((x, k), r)}
 
     def __len__(self) -> int:
         return self.size
 
     def snapshot(self) -> frozenset:
-        return frozenset((c, r) for c, v in self._rights.items() for r in v)
+        return frozenset((c, r) for c in [*self._rights, *self.links]
+                         for r in self.extents(c))
+
+
+def _reached(chain: tuple, depth: int, *_) -> set[int]:
+    """The extents of the node at depth in chain."""
+    return {r for r, e in chain[1].items() if e >= depth}
 
 
 class BsrSet:
@@ -145,14 +222,16 @@ class BsrSet:
     (slot_{i-1}, l, k) was queued and symbol i-1 spans k..r, so pivots are
     derived, not stored: l when i <= 1, r-1 after a token, else each k that is
     a right extent of (slot_{i-1}, l) and a left extent of (symbol i-1, r).
-    Deriving is valid only on a drained run; read a tripped run's length alone.
+    The keys of a linked commencement's continuation are its extents: the
+    sizes count them, and every query and listing reads them. Deriving is
+    valid only on a drained run; a `stopped` run is read for its sizes.
     `alternates` maps each nonterminal id the run started to the plans of the
     first symbol with that id it met; every key's slot is in them, so the
     forest walk reads them, not a child's own: it may be another object. Ids
     are per grammar, so same-named nonterminals of two grammars stay apart.
     """
 
-    __slots__ = ("_rights", "_prel", "alternates", "size", "nkeys")
+    __slots__ = ("_rights", "_prel", "alternates", "size", "nkeys", "stopped")
 
     def __init__(self, prel: ExtentRelation) -> None:
         self._rights: dict[tuple[Slot, int], set[int]] = {}
@@ -160,6 +239,7 @@ class BsrSet:
         self.alternates: dict[SymbolId, tuple] = {}
         self.size = 0
         self.nkeys = 0
+        self.stopped: Optional[str] = None
 
     def record(self, slot: Slot, l: int, r: int) -> bool:
         """Count one element made under key (slot, l, r), on the engine's hot
@@ -185,15 +265,29 @@ class BsrSet:
         return rights
 
     def has_key(self, slot: Slot, l: int, r: int) -> bool:
-        return r in self._rights.get((slot, l), _NONE)
+        rights = self._rights.get((slot, l), _NONE)
+        prel = self._prel
+        if rights or not prel.links:
+            return r in rights
+        # an empty set may be carried by a linked commencement's one
+        # continuation: its keys are the commencement's extents
+        c = prel.carriers.get((slot, l))
+        return c in prel.links and prel.has(c, r)
 
     def key_sets(self):
         """((slot, l), the set of right extents of the keys (slot, l, _)) per
-        pair made so far, unordered; a set may be empty."""
-        return self._rights.items()
+        pair made so far, unordered; a set may be empty. A linked
+        commencement's keys are listed here as one set built from its chain."""
+        links = self._prel.links
+        if not links:
+            return self._rights.items()
+        sets = dict(self._rights)
+        for c, (_, _, (plan, i, l, _), _) in links.items():
+            sets[(plan.slots[i], l)] = self._prel.extents(c)
+        return sets.items()
 
     def keys(self) -> Iterator[tuple[Slot, int, int]]:
-        for (slot, l), rights in self._rights.items():
+        for (slot, l), rights in self.key_sets():
             for r in rights:
                 yield (slot, l, r)
 
@@ -208,7 +302,11 @@ class BsrSet:
         last = plan.symbols[i - 1].id
         if type(last) is TokenName:
             return [r - 1]
-        return self._rights[(plan.slots[i - 1], l)] & self._prel.lefts(last, r)
+        before = self._rights[(plan.slots[i - 1], l)]
+        prel = self._prel
+        if prel.links:
+            return prel.lefts_in(last, before, r)
+        return before & prel._lefts.get((last, r), _NONE)  # lefts, without links
 
     def __len__(self) -> int:
         return self.size
@@ -258,10 +356,12 @@ class DescriptorView:
 
 @dataclass
 class Stats:
-    """Work counters for one run."""
+    """Work counters for one run. A drained run counts in both processed and
+    skipped the descriptors whose effect a link made without queueing them."""
 
     descriptors_processed: int = 0
     instantiations: int = 0
+    descriptors_skipped: int = 0
 
 
 @dataclass

@@ -162,6 +162,39 @@ def instance_left_recursive(start: Symbol) -> bool:
     return False
 
 
+def chart_extents(start: Symbol, text: str) -> dict:
+    """(id, l) -> the set of r such that the nonterminal derives text[l:r],
+    for every (id, l) reached from (start, 0) through matched prefixes: a
+    least fixpoint over the elaborated alternates that shares nothing with
+    the engine, so instances of parameterized definitions are covered too."""
+    symbols: dict = {}
+    extents: dict = {}
+
+    def reach(sym, l: int) -> set:
+        got = extents.get((sym.id, l))
+        if got is None:
+            symbols.setdefault(sym.id, sym)
+            got = extents[(sym.id, l)] = set()
+        return got
+
+    reach(start, 0)
+    changed = True
+    while changed:
+        size = sum(map(len, extents.values())), len(extents)
+        for sid, l in list(extents):
+            for plan in symbols[sid].plans():
+                ends = {l}
+                for s in plan.symbols:
+                    if isinstance(s, Token):
+                        ends = {k + 1 for k in ends if k < len(text)
+                                and s.pattern.classifier(text[k]) is not None}
+                    else:
+                        ends = set().union(*[reach(s, k) for k in ends])
+                extents[(sid, l)] |= ends
+        changed = size != (sum(map(len, extents.values())), len(extents))
+    return extents
+
+
 def brute_count(ast: GrammarAst, start: str, text: str) -> int:
     """Independent derivation counter: direct recursion over the AST with the
     same same-extent curtailment rule the semantic phase uses. Handles only

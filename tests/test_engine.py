@@ -321,8 +321,12 @@ PINNED_WORK = [
     ("s1.g", "S1", "a" * 30, None, (1022, 1022, 5486, 496, 496, 1)),
     ("expr.g", "Expr", "a" + "+a" * 14, None, (375, 375, 800, 120, 121, 1)),
     ("csv.g", "CSV(alpha)", ",".join("abcdefghi"), None, (144, 144, 210, 45, 46, 1)),
-    ("anbncn.g", "Start", "aabbcc", 100, (160, 163, 13, 6, 146, 101)),
+    ("anbncn.g", "Start", "aabbcc", 100, (158, 163, 13, 6, 146, 101)),
     ("dup.g", "D", "aaa", None, (17, 17, 13, 10, 4, 1)),
+    # right-recursive lists, where 21 of 23 and 4 of 12 commencements link
+    ("tuples.g", "AlphaTuples", "(" + ",".join("abcdefghijklmnopqrst") + ")", None,
+     (337, 337, 294, 233, 23, 4)),
+    ("list.g", "List('a')", "a(a)((a))(((a)))", None, (49, 49, 32, 16, 16, 9)),
 ]
 SCHEDULES = ({}, {"lifo": True}, {"reverse_alternates": True})
 
@@ -352,14 +356,16 @@ class TestPinnedWork:
 
 
 # Prints, as JSON, per run: its work counts, its sorted bsr dump (drained
-# runs only) and the descriptors in the order the queue was drained, for the
-# pinned anbncn.g trip and E a^20. The queue records what it hands out.
+# runs only), the descriptors in the order the queue was drained and the
+# number that links skipped, for the pinned anbncn.g trip, E a^20 and the
+# pinned tuples.g list, whose links skip most descriptors. The queue records
+# what it hands out.
 ORDER_PROBE = """
 import json
 from collections import deque
 import gllkit.state
 from gllkit.core import render_slot
-from test_engine import fresh_start, run_to_end, work_of
+from test_engine import PINNED_WORK, fresh_start, run_to_end, work_of
 
 class RecordingQueue(deque):
     def popleft(self):
@@ -369,14 +375,14 @@ class RecordingQueue(deque):
 
 gllkit.state.deque = RecordingQueue
 out = []
-for grammar_file, start, text, budget in (("anbncn.g", "Start", "aabbcc", 100),
-                                          ("e.g", "E", "a" * 20, None)):
+for grammar_file, start, text, budget, _ in (PINNED_WORK[4], PINNED_WORK[0],
+                                             PINNED_WORK[6]):
     drained = []
     state = run_to_end(fresh_start(grammar_file, start), text,
                        instantiation_budget=budget)
     bsr = ([[render_slot(b.slot), b.left, b.pivot, b.right]
             for b in state.bsrs.sorted_elements()] if budget is None else [])
-    out.append([work_of(state), bsr, drained])
+    out.append([work_of(state), bsr, drained, state.stats.descriptors_skipped])
 print(json.dumps(out))
 """
 
@@ -397,10 +403,14 @@ class TestHashSeed:
                                   timeout=120)
             assert done.returncode == 0, done.stderr
             runs.append(json.loads(done.stdout))
-        (trip, _, trip_order), (whole, bsr, order) = runs[0]
+        (trip, _, trip_order, _), (whole, bsr, order, _), linked = runs[0]
         assert trip == list(PINNED_WORK[4][4]) and len(trip_order) == trip[0]
         assert whole == list(PINNED_WORK[0][4]) and len(order) == whole[0]
         assert len(bsr) == whole[2]
+        # a drained run counts the descriptors that its links skipped
+        (work, bsr, order, skipped) = linked
+        assert work == list(PINNED_WORK[6][4]) and len(bsr) == work[2]
+        assert len(order) + skipped == work[0] and skipped > len(order)
         assert runs[0] == runs[1]
 
 
@@ -511,6 +521,29 @@ class TestMemory:
             tracemalloc.stop()
         assert state.stats.descriptors_processed == 5916
         assert peak < 3 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+
+    @pytest.mark.parametrize("grammar,start,text", [
+        (load_grammar("tuples.g"), "AlphaTuples", "(" + ",".join("a" * 2400) + ")"),
+        (parse_grammar("R: 'a' R | 'a'\n"), "R", "a" * 2400)], ids=["tuples", "R"])
+    def test_right_recursive_list_is_linear(self, grammar, start, text):
+        """A right-recursive list of 2,400 items links each commencement to
+        its caller, so its extents are stored once, not once per enclosing
+        item: the peak was 538 MiB (tuples) and 536 MiB (R) when each was
+        copied up the chain of callers, and stays under 16 MiB."""
+        sym = Elaborator(grammar).start_symbol(start)
+        tracemalloc.start()
+        try:
+            accepted, state = run_recognize(sym, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert accepted and len(state.prel.links) >= 2400
+        stored = sum(map(len, state.prel._rights.values())) + sum(
+            map(len, state.bsrs._rights.values())) + sum(
+            len(chain[1]) for chain, depth, *_ in state.prel.links.values()
+            if depth == 1)
+        assert stored <= 10 * 2400
+        assert peak < 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
     def test_slots_are_freed_with_their_grammar(self):
         """A slot is a position in its plan, and no table keeps it: once a

@@ -5,8 +5,16 @@ from collections import Counter
 
 import pytest
 
-from gllkit.core import Applied, Commencement, Slot, TokenName, render_slot
+from gllkit.core import (
+    Applied,
+    Commencement,
+    Slot,
+    TokenName,
+    render_id,
+    render_slot,
+)
 from gllkit.dsl import Elaborator, parse_grammar
+from gllkit.state import ResourceExhausted
 from gllkit.engine import (
     AltPlan,
     Nonterminal,
@@ -31,6 +39,7 @@ from gllkit.forest import (
 
 from helpers import (
     brute_count,
+    chart_extents,
     instance_left_recursive,
     load_grammar,
     precedence_keeps,
@@ -296,6 +305,43 @@ class TestDifferential:
                                 spans += 1
         assert spans > 1000
 
+    def test_sub_span_extents_are_complete(self):
+        """Every commencement (X, l) of a run lists as extents exactly the r
+        at which X derives text[l:r], so no extent is lost, nor invented,
+        where links leave them implicit: by brute force without parameters,
+        else by a chart fixpoint over the elaborated alternates."""
+        cases = [(load_grammar("dup.g"), "D", "aaaa"),
+                 (load_grammar("tuples.g"), "AlphaTuples", "(a,b,c,d,e,f)"),
+                 (load_grammar("tuples.g"), "AlphaTuples", "(a,b,c,"),
+                 (load_grammar("list.g"), "Start", "a(a)((a))(((a)))"),
+                 (load_grammar("list.g"), "Start", "a(a)((a))((")]
+        rng = random.Random(2718)
+        for params in (False, True):
+            for _ in range(100):
+                ast = parse_grammar(random_grammar(rng, params=params))
+                cases += [(ast, ast.definitions[0].name, random_input(rng))
+                          for _ in range(2)]
+        spans = linked = 0
+        for ast, start, text in cases:
+            plain = all(not d.params for d in ast.definitions)
+            for schedule in SCHEDULES:
+                sym = Elaborator(ast).start_symbol(start)
+                _, state = run_recognize(sym, text, **schedule)
+                want = chart_extents(sym, text)
+                got = {c for c, _ in state.grel.pairs()}
+                assert got == set(want), (start, text)
+                for c in got:
+                    x, l = c
+                    if plain:
+                        ends = {r for r in range(l, len(text) + 1)
+                                if brute_count(ast, x.name, text[l:r])}
+                        assert ends == want[c], (x.name, text, l)
+                    assert state.prel.extents_for(c) == sorted(want[c]), (
+                        render_id(x), text, l)
+                    spans += len(want[c])
+                linked += len(state.prel.links)
+        assert spans > 3000 and linked > 300
+
     def test_random_parameterized_grammars(self):
         rng = random.Random(2024)
         ambiguous = left_recursive = 0
@@ -538,6 +584,27 @@ class TestPrecedenceDifferential:
                 pruned += len(want) < len(every)
                 kept += len(want) > 1
         assert pruned > 100 and kept > 20
+
+
+class TestStoppedRun:
+    def test_forest_calls_on_a_stopped_run_raise(self):
+        """A run that a budget stopped holds part of its keys, so count,
+        trees and values of it would be wrong; reading them raises. The
+        drained run counts 1,430, C(8)."""
+        sym = Elaborator(load_grammar("s1.g")).start_symbol("S1")
+        text = "a" * 8
+        _, state = run_recognize(sym, text)
+        assert count_derivations(sym, text, state.bsrs, 0, 8).value == 1430
+        for fuel in (10, 40, 80):
+            with pytest.raises(ResourceExhausted) as trip:
+                run_recognize(sym, text, fuel=fuel)
+            bsrs = trip.value.state.bsrs
+            assert bsrs.stopped == f"fuel budget of {fuel} exhausted"
+            for call in (lambda: count_derivations(sym, text, bsrs, 0, 8),
+                         lambda: extract_trees(sym, text, bsrs),
+                         lambda: evaluate(sym, text, bsrs, 0, 8)):
+                with pytest.raises(ValueError, match="stopped run"):
+                    call()
 
 
 class TestErrors:
