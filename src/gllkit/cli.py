@@ -67,6 +67,12 @@ def _budgets(cfg: argparse.Namespace):
     return fuel, inst
 
 
+def _filters(elab) -> list:
+    """The grammar's precedence declarations, as the forest's filters."""
+    prec = elab.precedence_filter()
+    return [prec] if prec is not None else []
+
+
 def _run(cfg: argparse.Namespace, start, tokens) -> tuple[bool, ParseState]:
     fuel, inst = _budgets(cfg)
     return run_recognize(start, tokens, fuel=fuel, instantiation_budget=inst)
@@ -138,10 +144,8 @@ def cmd_parse(cfg: argparse.Namespace) -> int:
     if not accepted:
         _print_reject(cfg, state)
         return 1
-    prec = elab.precedence_filter()
-    filters = [prec] if prec is not None else []
     trees = extract_trees(start, tokens, state.bsrs,
-                          limit=cfg.max_trees + 1, filters=filters)
+                          limit=cfg.max_trees + 1, filters=_filters(elab))
     truncated = len(trees) > cfg.max_trees
     trees = trees[:cfg.max_trees]
     if cfg.format == "json":
@@ -157,13 +161,14 @@ def cmd_parse(cfg: argparse.Namespace) -> int:
 
 
 def cmd_count(cfg: argparse.Namespace) -> int:
-    _elab, start = _load(cfg)
+    elab, start = _load(cfg)
     tokens = _tokens(cfg, _read_input(cfg))
     accepted, state = _run(cfg, start, tokens)
     if not accepted:
         _print_reject(cfg, state)
         return 1
-    count = forest.count_derivations(start, tokens, state.bsrs, 0, len(tokens))
+    count = forest.count_derivations(start, tokens, state.bsrs, 0, len(tokens),
+                                     _filters(elab))
     if cfg.format == "json":
         print(json.dumps({"result": "accept", "count": count.value,
                           "saturated": count.saturated}))

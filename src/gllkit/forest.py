@@ -1,11 +1,12 @@
-"""Semantic phase: walk a BSR forest to evaluate, enumerate and count
-derivations, with curtailment of cyclic nonterminals, disambiguation filters,
-and furthest-failure error reports."""
+"""Semantic phase: count, evaluate and enumerate the derivations of a BSR
+forest, curtailing cyclic nonterminals; one count table per precedence root
+class also narrows the filtered tree walk; furthest-failure error reports."""
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice, product, repeat
+from functools import partial
+from itertools import islice, product
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -194,192 +195,242 @@ def _drain(step, node) -> bool:
     return True
 
 
-def count_derivations(sym: Symbol, input, bsrs: BsrSet, l: int, r: int) -> DerivationCount:
-    """Curtailed derivation count, saturating at COUNT_CAP.
+class _Counts:
+    """The curtailed tree counts of the spans that the count of sym over l..r
+    may read, with one row per root class of at most one PrecedenceFilter.
 
-    A sum-product over the forest keys that the count over l..r may read,
-    found top-down by their right ends and grouped by extent (a, b). The prefix
-    of key (slot i, a, b) sums, over its pivots k, the prefix of slot i-1
-    over a..k times the count of symbol i-1 over k..b; a span's count sums its
-    alternates' last prefixes. The groups go by descending a, then ascending
-    b, so a group waits only on its own values: the prefix at pivot b, and the
-    child at pivot a, which spans the whole extent and alone can be curtailed.
-    A group is settled depth first. Only where its values wait on each other
-    in a cycle, as in E: E E E | 'a' |, are its spans counted with the ids
-    not to re-enter at a..b. Sums and products saturate at COUNT_CAP + 1,
-    which leaves them exact below it."""
+    A row counts an id's trees whose root alternate has one operator c: it
+    is the id itself for c None, else (id, c). The prefix of key (slot i, a,
+    b), a scalar, sums over its pivots k the prefix of slot i-1 over a..k
+    times the count over k..b of the rows of symbol i-1 that the filter
+    admits there; a row sums the last prefixes of its alternates. The keys
+    that the root may read, found top-down by their right ends, are grouped
+    by extent (a, b): by descending a, then ascending b, a group waits only
+    on its own values, the prefix at pivot b and the child at pivot a, which
+    spans the whole extent and alone can be curtailed. A group is settled
+    depth first. Only where its values wait on each other in a cycle, as in
+    E: E E E | 'a' |, are its rows counted with the ids not to re-enter at
+    a..b, values kept per group for the tree walk. Sums and products
+    saturate at COUNT_CAP + 1, which leaves them exact below it."""
+
+    def __init__(self, sym: Symbol, bsrs: BsrSet, l: int, r: int,
+                 prec: Optional[PrecedenceFilter] = None):
+        cap, empty = COUNT_CAP + 1, {}
+        # plan -> its row, row -> its plans' last slots, id -> its rows, slot i of a
+        # plan -> (slot i-1, None at i <= 1; the rows of symbol i-1 that the
+        # filter admits there, None at slot 0 and after a token).
+        row_of, lasts, rows, steps = {}, defaultdict(list), {}, {}
+        for x, alternates in bsrs.alternates.items():
+            for plan in alternates:
+                op = prec.operator(plan) if prec else None
+                row_of[plan] = x if op is None else (x, op)
+                lasts[row_of[plan]].append(plan.slots[-1])
+            rows[x] = list(dict.fromkeys(row_of[plan] for plan in alternates))
+        for plan in row_of:
+            steps[plan.slots[0]] = (None, None)
+            for i, s in enumerate(plan.symbols):
+                reads = None if type(s) is Token else [
+                    y for y in rows.get(s.id, ())
+                    if prec is None or prec.admits(plan, i, None if y is s.id else y[1])]
+                steps[plan.slots[i + 1]] = (plan.slots[i] if i else None, reads)
+        # a -> slot -> {b: the prefix of key (slot, a, b)} and b -> row -> {a:
+        # the count of row over a..b}, None until settled; a -> b -> the
+        # group's key slots, each last slot of an alternate followed by its row.
+        prefixes, spans = defaultdict(dict), defaultdict(lambda: defaultdict(dict))
+        groups, cyclic = defaultdict(lambda: defaultdict(list)), {}
+        # A key of slot 1 may wait on the span of its first symbol: list it last.
+        keys = sorted(bsrs.key_sets(), key=lambda e: e[0][0].i == 1)
+        for (slot, a), rights in keys:
+            prefixes[a][slot], plan = dict.fromkeys(rights), slot.plan
+            if slot is plan.slots[-1]:
+                for b in rights:
+                    spans[b][row_of[plan]][a] = None
+        # ends holds the right ends at which a slot or a row is read, whatever
+        # the left end: a key (slot i, a, b) reads the admitted rows of symbol
+        # i-1 at b, and slot i-1 at b - 1 after a token, else at each left end
+        # of those rows over ..b.
+        ends: dict = defaultdict(set)
+        todo = [(row, {r}) for row in rows.get(sym.id, ())]
+        while todo:
+            node, new = todo.pop()
+            new = new - ends[node]
+            if not new:
+                continue
+            ends[node] |= new
+            if type(node) is not Slot:
+                todo.extend((last, new) for last in lasts[node])
+            else:
+                prev, reads = steps[node]
+                todo.extend((row, new) for row in reads or ())
+                if prev is None:
+                    continue
+                if reads is None:
+                    todo.append((prev, {b - 1 for b in new if b > l}))
+                else:
+                    todo.append((prev, set().union(*[spans[b].get(row, empty)
+                                                     for b in new for row in reads])))
+        for (slot, a), rights in keys:
+            if a >= l:
+                ga, plan = groups[a], slot.plan
+                nodes = (slot, row_of[plan]) if slot is plan.slots[-1] else (slot,)
+                for b in rights & ends[slot]:
+                    ga[b].extend(nodes)
+
+        # settle and curtail read the group's extent a..b, rows pa and sb, and
+        # its memo of curtailed values.
+        def settle(node):
+            # The value of node, a key's slot or a row, kept in its row.
+            if type(node) is not Slot:
+                if sb[node][a] is None:
+                    total = 0
+                    for last in lasts[node]:
+                        got = pa.get(last, empty).get(b, 0)
+                        if got is None:
+                            return last
+                        total += got
+                    sb[node][a] = min(total, cap)
+                return None
+            row = pa[node]
+            if row[b] is not None:
+                return None
+            prev, reads = steps[node]
+            if reads is None:  # slot 0, or after a token
+                row[b] = 1 if prev is None else pa[prev][b - 1]
+                return None
+            got = 0
+            if prev is None:  # slot 1: its symbol's count over a..b
+                for child in reads:
+                    value = sb[child].get(a, 0)
+                    if value is None:
+                        return child
+                    got += value
+                row[b] = min(got, cap)
+                return None
+            before = pa.get(prev, empty)
+            for child in reads:
+                below = sb[child]
+                if a in before and below.get(a, 0) is None:
+                    return child
+                if b in below and before.get(b, 0) is None:
+                    return prev
+                if len(before) == 1:  # one pivot, as after a token
+                    for k in before:
+                        if k in below:
+                            got += before[k] * below[k]
+                else:
+                    ks = before.keys() & below.keys()
+                    got += sum(map(mul, map(before.__getitem__, ks), map(below.__getitem__, ks)))
+            row[b] = min(got, cap)
+            return None
+
+        def curtail(node):
+            # The value of node = (slot or row, top) that re-enters no id in
+            # top at a..b, kept in memo.
+            x, top = node
+            got = 0
+            if type(x) is not Slot:
+                for last in lasts[x]:
+                    if b in pa.get(last, empty):
+                        value = memo.get((last, top))
+                        if value is None:
+                            return last, top
+                        got += value
+            elif (step := steps[x])[1] is None:
+                got = 1 if step[0] is None else pa[step[0]][b - 1]
+            else:
+                prev, reads = step
+                before = pa[prev] if prev else {a: 1}
+                child, seen = x.plan.symbols[x.i - 1].id, top | {x.plan.lhs}
+                for row in reads:
+                    below = sb[row]
+                    for k in (b, a) if a < b else (a,):  # the pivots in the group
+                        if k not in before or k not in below:
+                            continue
+                        left = before[k] if k < b or prev is None else memo.get((prev, top))
+                        if left is None:
+                            return prev, top
+                        if k == a and child in seen:
+                            continue
+                        value = below[k] if k > a else memo.get((row, seen))
+                        if value is None:
+                            return row, seen
+                        got += left * value
+                    ks = before.keys() & below.keys() - {a, b}
+                    got += sum(map(mul, map(before.__getitem__, ks), map(below.__getitem__, ks)))
+            memo[node] = min(got, cap)
+            return None
+
+        for a in sorted(groups, reverse=True):
+            pa, ga = prefixes[a], groups[a]
+            for b in sorted(ga):
+                sb, nodes, memo = spans[b], ga[b], None
+                for node in nodes:
+                    # A curtailed span reads no prefix of its last slots.
+                    if memo is not None and type(node) is Slot and node is node.plan.slots[-1]:
+                        continue
+                    while settle(node) is not None and not _drain(settle, node):
+                        # a cycle: count the open spans curtailed
+                        memo = cyclic[a, b] = {}
+                        for x in nodes:
+                            if type(x) is not Slot and sb[x][a] is None:
+                                _drain(curtail, (x, _NONE))
+                                sb[x][a] = memo[(x, _NONE)]
+        self.row_of, self.rows, self.steps = row_of, rows, steps
+        self.spans, self.cyclic = spans, cyclic
+
+    def kept(self, plan: AltPlan, i: int, a: int, b: int, seen: frozenset):
+        """The admitted rows of symbol i of plan over a..b that hold a tree not
+        re-entering seen; None for a token. An entry never settled (None) is
+        read only at a split without a tree."""
+        reads = self.steps[plan.slots[i + 1]][1]
+        if reads is None or plan.symbols[i].id in seen:
+            return reads and []
+        memo, spans = self.cyclic.get((a, b), {}), self.spans[b]
+        return [x for x in reads if memo.get((x, seen), spans[x].get(a))]
+
+
+def count_derivations(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,
+                      filters: Sequence = ()) -> DerivationCount:
+    """Curtailed derivation count, saturating at COUNT_CAP; `filters` holds
+    at most one PrecedenceFilter, and then only the trees it keeps count."""
     _drained(bsrs)
     if isinstance(sym, Token):
         return DerivationCount(len(evaluate_token(sym.pattern, input, l, r)), False)
-    cap, alternates, empty, memo = COUNT_CAP + 1, bsrs.alternates, {}, {}
-    # a -> slot -> {b: the prefix of key (slot, a, b)} and b -> id -> {a: the
-    # count of id over a..b}, None until settled; a -> b -> the group's key
-    # slots, each last slot of an alternate followed by its span's id.
-    prefixes, spans = defaultdict(dict), defaultdict(lambda: defaultdict(dict))
-    groups: dict = defaultdict(lambda: defaultdict(list))
-    for (slot, a), rights in bsrs.key_sets():
-        prefixes[a][slot], plan = dict.fromkeys(rights), slot.plan
-        if slot is plan.slots[-1]:
-            for b in rights:
-                spans[b][plan.lhs][a] = None
-    # Only keys that the count of sym over l..r may read are counted. ends
-    # holds the right ends at which a slot or an id is read, whatever the left
-    # end: a key (slot i, a, b) reads symbol i-1 at b, and slot i-1 at b - 1
-    # after a token, else at each left end of symbol i-1 over ..b.
-    ends: dict = defaultdict(set)
-    todo = [(sym.id, {r})]
-    while todo:
-        node, new = todo.pop()
-        new = new - ends[node]
-        if not new:
-            continue
-        ends[node] |= new
-        if type(node) is not Slot:
-            todo.extend((plan.slots[-1], new) for plan in alternates.get(node, ()))
-        elif node.i:
-            prev, child = node.plan.slots[node.i - 1], node.plan.symbols[node.i - 1]
-            if type(child) is not Token:
-                todo.append((child.id, new))
-            if node.i == 1:
-                continue
-            if type(child) is Token:
-                todo.append((prev, {b - 1 for b in new if b > l}))
-            else:
-                todo.append((prev, set().union(*[spans[b].get(child.id, empty) for b in new])))
-    # A key of slot 1 may wait on the span of its first symbol: list it last.
-    for (slot, a), rights in sorted(bsrs.key_sets(), key=lambda e: e[0][0].i == 1):
-        plan = slot.plan
-        for b in rights & ends[slot] if a >= l else ():
-            groups[a][b].append(slot)
-            if slot is plan.slots[-1]:
-                groups[a][b].append(plan.lhs)
-
-    # settle and curtail read the group's extent a..b and rows pa and sb.
-    def settle(node):
-        # The value of node, a key's slot or a span's id, kept in its row.
-        if type(node) is not Slot:
-            if sb[node][a] is None:
-                total = 0
-                for plan in alternates[node]:
-                    got = pa.get(plan.slots[-1], empty).get(b, 0)
-                    if got is None:
-                        return plan.slots[-1]
-                    total += got
-                sb[node][a] = min(total, cap)
-            return None
-        row, i = pa[node], node.i
-        if row[b] is not None:
-            return None
-        plan = node.plan
-        before = pa.get(plan.slots[i - 1], empty)
-        if i == 0 or type(plan.symbols[i - 1]) is Token:
-            row[b] = 1 if i <= 1 else before[b - 1]
-            return None
-        child = plan.symbols[i - 1].id
-        below = sb[child]
-        if i == 1:
-            row[b] = below[a]
-            return None if row[b] is not None else child
-        if below.get(a, 0) is None and a in before:
-            return child
-        if before.get(b, 0) is None and b in below:
-            return plan.slots[i - 1]
-        if len(before) == 1:  # one pivot, as after a token
-            for k in before:
-                row[b] = min(before[k] * below[k], cap)
-            return None
-        ks = before.keys() & below.keys()
-        row[b] = min(sum(map(mul, map(before.__getitem__, ks), map(below.__getitem__, ks))), cap)
-        return None
-
-    def curtail(node):
-        # The value of node = (slot or id, top) that re-enters no id in top
-        # at a..b, kept in memo.
-        x, top = node
-        got = 0
-        if type(x) is not Slot:
-            for plan in alternates[x]:
-                last = plan.slots[-1]
-                if b in pa.get(last, empty):
-                    value = memo.get((last, top))
-                    if value is None:
-                        return last, top
-                    got += value
-        elif x.i == 0:
-            got = 1
-        elif type(x.plan.symbols[x.i - 1]) is Token:
-            got = 1 if x.i == 1 else pa[x.plan.slots[x.i - 1]][b - 1]
-        else:
-            plan, i = x.plan, x.i
-            prev, child = plan.slots[i - 1], plan.symbols[i - 1].id
-            before = pa.get(prev, empty) if i > 1 else {a: 1}
-            below = sb[child]
-            for k in (b, a) if a < b else (a,):  # the pivots in the group
-                if k not in before or k not in below:
-                    continue
-                left = before[k] if k < b else memo.get((prev, top))
-                if left is None:
-                    return prev, top
-                seen = top | {plan.lhs}
-                if k == a and child in seen:
-                    continue
-                value = below[k] if k > a else memo.get((child, seen))
-                if value is None:
-                    return child, seen
-                got += left * value
-            ks = before.keys() & below.keys() - {a, b}
-            got += sum(map(mul, map(before.__getitem__, ks), map(below.__getitem__, ks)))
-        memo[node] = min(got, cap)
-        return None
-
-    for a in sorted(groups, reverse=True):
-        pa, ga = prefixes[a], groups[a]
-        for b in sorted(ga):
-            sb, nodes, curtailed = spans[b], ga[b], False
-            for node in nodes:
-                # A curtailed span reads no prefix of its last slots.
-                if curtailed and type(node) is Slot and node is node.plan.slots[-1]:
-                    continue
-                while settle(node) is not None and not _drain(settle, node):
-                    memo.clear()  # a cycle: count the open spans curtailed
-                    curtailed = True
-                    for x in nodes:
-                        if type(x) is not Slot and sb[x][a] is None:
-                            _drain(curtail, (x, _NONE))
-                            sb[x][a] = memo[(x, _NONE)]
-    n = spans[r][sym.id].get(l, 0)
+    counts = _Counts(sym, bsrs, l, r, *filters)
+    n = sum(counts.spans[r][row].get(l, 0) for row in counts.rows.get(sym.id, ()))
     return DerivationCount(min(n, COUNT_CAP), n > COUNT_CAP)
 
 
 def iter_trees(sym: Symbol, input, bsrs: BsrSet, l: int, r: int,
-               visited: frozenset = frozenset(), classes=None, admitted=None):
+               visited: frozenset = frozenset(), counts: Optional[_Counts] = None,
+               admitted=None):
     """Lazily yield derivation trees in deterministic order: splits ascending
-    by boundary vector, alternates in definition order. With `classes`, a
-    RootClasses, only the trees its filter keeps whose root class is in
-    `admitted` (any, when None)."""
+    by boundary vector, alternates in definition order. With `counts`, the
+    table of a filtered count, only the trees it counts whose root row is in
+    `admitted` (any, when None): a split is skipped when a child has no
+    admitted row with a tree, and each child is narrowed to those rows."""
     if isinstance(sym, Token):
         if evaluate_token(sym.pattern, input, l, r):
             yield Leaf(input[l], l)
         return
     if sym.id in visited:
         return
-    splits = (_splits(sym, l, r, bsrs) if classes is None
-              else classes.splits(sym, l, r, visited, admitted))
-    for plan, bounds, narrowed in splits:
-        factories = [
-            (lambda child=child, cl=bounds[i], cr=bounds[i + 1], adm=adm:
-             iter_trees(child, input, bsrs, cl, cr,
-                        _child_visited(cl, cr, l, r, visited, sym.id),
-                        classes, adm))
-            for i, (child, adm) in enumerate(zip(plan.symbols, narrowed))]
-        for combo in _lazy_combos(factories, 0):
-            yield TreeNode(sym.id, l, r, combo)
-
-
-def _splits(sym: Symbol, l: int, r: int, bsrs: BsrSet):
     for plan in bsrs.alternates.get(sym.id, ()):
+        if admitted is not None and counts.row_of[plan] not in admitted:
+            continue
         for bounds in enumerate_splits(plan.slots, l, r, bsrs):
-            yield plan, bounds, repeat(None)
+            factories = []
+            for i, child in enumerate(plan.symbols):
+                cl, cr = bounds[i], bounds[i + 1]
+                seen = _child_visited(cl, cr, l, r, visited, sym.id)
+                rows = counts.kept(plan, i, cl, cr, seen) if counts else None
+                if rows == []:
+                    break
+                factories.append(partial(iter_trees, child, input, bsrs, cl, cr,
+                                         seen, counts, rows))
+            else:
+                for combo in _lazy_combos(factories, 0):
+                    yield TreeNode(sym.id, l, r, combo)
 
 
 def _lazy_combos(factories: list, i: int):
@@ -394,10 +445,11 @@ def _lazy_combos(factories: list, i: int):
 def extract_trees(sym: Symbol, input, bsrs: BsrSet,
                   limit: Optional[int] = None, filters: Sequence = ()) -> list:
     """Up to `limit` full-extent derivation trees, a prefix of the unlimited
-    enumeration; `filters` holds at most one PrecedenceFilter."""
+    enumeration; `filters` holds at most one PrecedenceFilter, whose count
+    table is built once and narrows the walk."""
     _drained(bsrs)
-    classes = RootClasses(*filters, input, bsrs) if filters else None
-    gen = iter_trees(sym, input, bsrs, 0, len(input), frozenset(), classes)
+    counts = _Counts(sym, bsrs, 0, len(input), *filters) if filters else None
+    gen = iter_trees(sym, input, bsrs, 0, len(input), frozenset(), counts)
     return list(gen if limit is None else islice(gen, limit))
 
 
@@ -411,8 +463,8 @@ class PrecedenceFilter:
     rightmost token whose name is declared, or None, found once per plan. A
     tree's root class is its root alternate's operator, so the input is never
     read. A child is not admitted when its class binds looser than the
-    alternate's operator, or equally on the disallowed side. The tree walk
-    applies the filter; count and evaluate do not yet.
+    alternate's operator, or equally on the disallowed side. count and the
+    tree walk apply the filter through one count table; evaluate does not.
     """
 
     def __init__(self, groups: Sequence[tuple[str, Sequence[str]]]):
@@ -442,59 +494,6 @@ class PrecedenceFilter:
         if child[0] != level:
             return child[0] > level
         return assoc == "left" and i < at or assoc == "right" and i > at
-
-
-class RootClasses:
-    """The memo of one tree walk under a PrecedenceFilter: the root classes
-    of the kept trees of each span (id, l, r, visited), keyed and curtailed
-    as evaluate's spans are."""
-
-    def __init__(self, prec: PrecedenceFilter, input, bsrs: BsrSet):
-        self.prec, self.input, self.bsrs, self.memo = prec, input, bsrs, {}
-
-    def _children(self, sym: Symbol, plan: AltPlan, bounds, l, r, visited):
-        # A part of a _fold step: per child of the split, the classes that
-        # the filter admits there, or None when one child has none.
-        admitted: list = []
-        for i, child in enumerate(plan.symbols):
-            cl, cr = bounds[i], bounds[i + 1]
-            if isinstance(child, Token):
-                got = [None] if evaluate_token(child.pattern, self.input, cl, cr) else _NONE
-            else:
-                seen = _child_visited(cl, cr, l, r, visited, sym.id)
-                key = (child.id, cl, cr, seen)
-                got = _NONE if child.id in seen else self.memo.get(key)
-                if got is None:
-                    got = yield key, self._span, (child, cl, cr, seen)
-            got = [op for op in got if self.prec.admits(plan, i, op)]
-            if not got:
-                return None
-            admitted.append(got)
-        return admitted
-
-    def _span(self, sym: Symbol, l: int, r: int, visited: frozenset):
-        out = set()
-        for plan, bounds, _ in _splits(sym, l, r, self.bsrs):
-            if (yield from self._children(sym, plan, bounds, l, r, visited)) is not None:
-                out.add(self.prec.operator(plan))
-        return frozenset(out)
-
-    def splits(self, sym: Symbol, l: int, r: int, visited: frozenset, admitted):
-        """The splits of sym over l..r with a kept tree whose root class is
-        in admitted (any, when None), each with its children's admitted
-        classes."""
-        key = (sym.id, l, r, visited)
-        if key not in self.memo:
-            _fold(self.memo, key, self._span, (sym, l, r, visited))
-        for plan in self.bsrs.alternates.get(sym.id, ()):
-            if admitted is not None and self.prec.operator(plan) not in admitted:
-                continue
-            for bounds in enumerate_splits(plan.slots, l, r, self.bsrs):
-                # folding the span read every class that a split needs, so
-                # _children returns at once
-                children = yield from self._children(sym, plan, bounds, l, r, visited)
-                if children is not None:
-                    yield plan, bounds, children
 
 
 def extract_errors(state: ParseState, n: int = 3,

@@ -189,11 +189,6 @@ class ExtentRelation:
         """c's right extents, ascending."""
         return sorted(self.extents(c))
 
-    def lefts(self, x: SymbolId, r: int):
-        """The left extents k with r among the extents of (x, k), unordered."""
-        linked = self.lefts_in(x, [k for y, k in self.links if y is x], r)
-        return self._lefts.get((x, r), _NONE) | linked
-
     def lefts_in(self, x: SymbolId, ks, r: int) -> set[int]:
         """The k in ks with r among the extents of (x, k)."""
         return {k for k in ks if self.has((x, k), r)}
@@ -306,7 +301,7 @@ class BsrSet:
         prel = self._prel
         if prel.links:
             return prel.lefts_in(last, before, r)
-        return before & prel._lefts.get((last, r), _NONE)  # lefts, without links
+        return before & prel._lefts.get((last, r), _NONE)  # lefts_in, without links
 
     def __len__(self) -> int:
         return self.size

@@ -288,6 +288,16 @@ class TestCount:
         assert json.loads(out) == {"result": "accept", "count": 2,
                                    "saturated": False}
 
+    def test_precedence_declarations_apply(self, capsys):
+        """count keeps the trees that parse prints: one left-leaning tree."""
+        args = ("count", "--grammar", g("expr_left.g"), "--start", "Expr",
+                "--text", "a+a+a+a")
+        _, out, _ = run_cli(capsys, *args)
+        assert out == "1\n"
+        _, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert json.loads(out) == {"result": "accept", "count": 1,
+                                   "saturated": False}
+
 
 class TestStats:
     def test_golden_metrics(self, capsys):

@@ -496,27 +496,29 @@ class TestFilters:
         elab = expr_elaborator("%left '+'\nExpr: Expr '+' Expr | 'a'\n")
         sym = elab.start_symbol("Expr")
         _, state = run_recognize(sym, "a+a+a")
-        trees = extract_trees(sym, "a+a+a", state.bsrs,
-                              filters=[elab.precedence_filter()])
+        flt = [elab.precedence_filter()]
+        trees = extract_trees(sym, "a+a+a", state.bsrs, filters=flt)
         assert len(trees) == 1
         assert trees[0].children[0].right == 3  # left operand spans a+a
+        assert count_derivations(sym, "a+a+a", state.bsrs, 0, 5, filters=flt).value == 1
 
     def test_right_assoc_keeps_right_leaning(self):
         elab = expr_elaborator("%right '+'\nExpr: Expr '+' Expr | 'a'\n")
         sym = elab.start_symbol("Expr")
         _, state = run_recognize(sym, "a+a+a")
-        trees = extract_trees(sym, "a+a+a", state.bsrs,
-                              filters=[elab.precedence_filter()])
+        flt = [elab.precedence_filter()]
+        trees = extract_trees(sym, "a+a+a", state.bsrs, filters=flt)
         assert len(trees) == 1
         assert trees[0].children[0].right == 1
+        assert count_derivations(sym, "a+a+a", state.bsrs, 0, 5, filters=flt).value == 1
 
     def test_nonassoc_rejects_nesting(self):
         elab = expr_elaborator("%nonassoc '+'\nExpr: Expr '+' Expr | 'a'\n")
         sym = elab.start_symbol("Expr")
         _, state = run_recognize(sym, "a+a+a")
-        trees = extract_trees(sym, "a+a+a", state.bsrs,
-                              filters=[elab.precedence_filter()])
-        assert trees == []
+        flt = [elab.precedence_filter()]
+        assert extract_trees(sym, "a+a+a", state.bsrs, filters=flt) == []
+        assert count_derivations(sym, "a+a+a", state.bsrs, 0, 5, filters=flt).value == 0
 
     def test_precedence_orders_operators(self):
         text = ("%left '+'\n%left '*'\n"
@@ -578,6 +580,8 @@ class TestPrecedenceDifferential:
                 flt = [elab.precedence_filter()]
                 got = extract_trees(sym, sentence, state.bsrs, filters=flt)
                 assert got == want, (text, sentence)
+                assert count_derivations(sym, sentence, state.bsrs, 0, len(sentence),
+                                         filters=flt).value == len(got), (text, sentence)
                 for k in (0, 1, len(want) // 2 + 1):
                     assert extract_trees(sym, sentence, state.bsrs, limit=k,
                                          filters=flt) == want[:k]

@@ -147,13 +147,19 @@ class TestExtentRelation:
         assert len(state.prel) == 1
 
     def test_indexed_both_ways(self):
-        prel = fresh().prel
+        """pivots reads the (X, r) -> {k} index: the key (E ::= E E . E, 0,
+        r) has the pivots k of (E ::= E . E E, 0, k) with r an extent of
+        (E, k)."""
+        state = fresh()
+        prel, bsrs = state.prel, state.bsrs
         for k, r in ((0, 2), (1, 2), (0, 3), (1, 2)):
-            prel.add(Commencement(E, k), r)
-        assert sorted(prel.lefts(E, 2)) == [0, 1]
-        assert sorted(prel.lefts(E, 3)) == [0]
-        assert sorted(prel.lefts(E, 1)) == []
-        assert sorted(prel.extents(Commencement(E, 0))) == [2, 3]
+            prel.add(Commencement(E_SYM.id, k), r)
+        for slot, r in ((S1, 0), (S1, 1), (S2, 1), (S2, 2), (S2, 3)):
+            bsrs.record(slot, 0, r)
+        assert sorted(bsrs.pivots(S2, 0, 2)) == [0, 1]
+        assert sorted(bsrs.pivots(S2, 0, 3)) == [0]
+        assert sorted(bsrs.pivots(S2, 0, 1)) == []
+        assert sorted(prel.extents(Commencement(E_SYM.id, 0))) == [2, 3]
         assert len(prel) == 3 == len(prel.snapshot())
 
 
