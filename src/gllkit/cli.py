@@ -1,5 +1,9 @@
 """Command-line front door: recognize, dump forests, enumerate trees, count
-derivations, report stats, or benchmark a grammar over growing inputs.
+derivations or report stats.
+
+Every command loads the grammar, reads the input and recognizes it once;
+then its printer writes the answer. parse and count stop at a reject's error
+reports; recognize prints them after --oracle has checked the verdict.
 
 Exit codes: 0 accept, 1 reject, 2 operational error (bad grammar, IO, fuel,
 or an internal failure such as running out of stack or memory).
@@ -10,13 +14,12 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import Applied, SymbolId, render_slot
 from .dsl import Elaborator, GrammarError, parse_grammar
-from .engine import run_recognize
-from .forest import extract_errors, extract_trees
-from . import forest
+from .engine import Symbol, run_recognize
+from .forest import count_derivations, extract_errors, extract_trees
 from .naive import NaiveInterpreter
 from .state import ParseState, ResourceExhausted
 
@@ -42,10 +45,6 @@ def _read_input(cfg: argparse.Namespace) -> str:
     return sys.stdin.read()
 
 
-def _tokens(cfg: argparse.Namespace, text: str):
-    return text.split() if cfg.mode == "words" else text
-
-
 def _load(cfg: argparse.Namespace):
     try:
         with open(cfg.grammar, "r") as f:
@@ -61,10 +60,27 @@ def _load(cfg: argparse.Namespace):
     return elab, start
 
 
-def _budgets(cfg: argparse.Namespace):
+class Run(NamedTuple):
+    """One recognition of the input, as a command's printer reads it."""
+    elab: Elaborator
+    start: Symbol
+    tokens: str | list[str]
+    accepted: bool
+    state: ParseState
+    elapsed: float
+
+
+def _recognize(cfg: argparse.Namespace) -> Run:
+    """Load the grammar, read the input and recognize it under the fuel
+    budget and the instantiation budget derived from it (fuel // 100)."""
+    elab, start = _load(cfg)
+    text = _read_input(cfg)
+    tokens = text.split() if cfg.mode == "words" else text
     fuel = None if cfg.fuel == 0 else cfg.fuel
     inst = None if fuel is None else max(1, fuel // 100)
-    return fuel, inst
+    t0 = time.perf_counter()
+    accepted, state = run_recognize(start, tokens, fuel=fuel, instantiation_budget=inst)
+    return Run(elab, start, tokens, accepted, state, time.perf_counter() - t0)
 
 
 def _filters(elab) -> list:
@@ -73,57 +89,43 @@ def _filters(elab) -> list:
     return [prec] if prec is not None else []
 
 
-def _run(cfg: argparse.Namespace, start, tokens) -> tuple[bool, ParseState]:
-    fuel, inst = _budgets(cfg)
-    return run_recognize(start, tokens, fuel=fuel, instantiation_budget=inst)
-
-
 def _sid_json(sid: SymbolId) -> dict:
     if isinstance(sid, Applied):
         return {"nt": sid.name, "args": [_sid_json(a) for a in sid.args]}
     return {"token": sid.name}
 
 
-def _error_json(report) -> dict:
-    return {"position": report.position, "expected": list(report.expected),
-            "got": report.got}
-
-
-def _print_reject(cfg: argparse.Namespace, state: ParseState) -> None:
+def _print_reject(cfg: argparse.Namespace, state: ParseState) -> int:
     reports = extract_errors(state, cfg.errors, accepted=False)
     if cfg.format == "json":
         print(json.dumps({"result": "reject",
-                          "errors": [_error_json(r) for r in reports]}))
-        return
-    print("reject")
-    for r in reports:
-        got = "end of input" if r.got is None else repr(r.got)
-        print(f"at {r.position}: expected {r.expected[0]}, got {got}")
-
-
-def cmd_recognize(cfg: argparse.Namespace) -> int:
-    elab, start = _load(cfg)
-    tokens = _tokens(cfg, _read_input(cfg))
-    accepted, state = _run(cfg, start, tokens)
-    if cfg.oracle:
-        oracle_accepted = NaiveInterpreter(elab.ast, cfg.mode).accepts(cfg.start, tokens)
-        if oracle_accepted != accepted:
-            raise CliError(f"oracle mismatch: engine={accepted} oracle={oracle_accepted}")
-    if accepted:
-        print(json.dumps({"result": "accept"}) if cfg.format == "json" else "accept")
-        return 0
-    _print_reject(cfg, state)
+                          "errors": [{"position": r.position,
+                                      "expected": list(r.expected), "got": r.got}
+                                     for r in reports]}))
+    else:
+        print("reject")
+        for r in reports:
+            got = "end of input" if r.got is None else repr(r.got)
+            print(f"at {r.position}: expected {r.expected[0]}, got {got}")
     return 1
 
 
-def cmd_bsr(cfg: argparse.Namespace) -> int:
-    _elab, start = _load(cfg)
-    tokens = _tokens(cfg, _read_input(cfg))
-    accepted, state = _run(cfg, start, tokens)
-    elements = state.bsrs.sorted_elements()
+def print_recognize(cfg: argparse.Namespace, run: Run) -> int:
+    if cfg.oracle:
+        oracle = NaiveInterpreter(run.elab.ast, cfg.mode).accepts(cfg.start, run.tokens)
+        if oracle != run.accepted:
+            raise CliError(f"oracle mismatch: engine={run.accepted} oracle={oracle}")
+    if not run.accepted:
+        return _print_reject(cfg, run.state)
+    print(json.dumps({"result": "accept"}) if cfg.format == "json" else "accept")
+    return 0
+
+
+def print_bsr(cfg: argparse.Namespace, run: Run) -> int:
+    elements = run.state.bsrs.sorted_elements()
     if cfg.format == "json":
         print(json.dumps({
-            "result": "accept" if accepted else "reject",
+            "result": "accept" if run.accepted else "reject",
             "elements": [{"slot": {"lhs": _sid_json(b.slot.lhs),
                                    "pre": [_sid_json(s) for s in b.slot.pre],
                                    "post": [_sid_json(s) for s in b.slot.post]},
@@ -134,18 +136,12 @@ def cmd_bsr(cfg: argparse.Namespace) -> int:
         for b in elements:
             print(f"{render_slot(b.slot)}, {b.left}, {b.pivot}, {b.right}")
         print(f"total: {len(elements)}")
-    return 0 if accepted else 1
+    return 0 if run.accepted else 1
 
 
-def cmd_parse(cfg: argparse.Namespace) -> int:
-    elab, start = _load(cfg)
-    tokens = _tokens(cfg, _read_input(cfg))
-    accepted, state = _run(cfg, start, tokens)
-    if not accepted:
-        _print_reject(cfg, state)
-        return 1
-    trees = extract_trees(start, tokens, state.bsrs,
-                          limit=cfg.max_trees + 1, filters=_filters(elab))
+def print_trees(cfg: argparse.Namespace, run: Run) -> int:
+    trees = extract_trees(run.start, run.tokens, run.state.bsrs,
+                          limit=cfg.max_trees + 1, filters=_filters(run.elab))
     truncated = len(trees) > cfg.max_trees
     trees = trees[:cfg.max_trees]
     if cfg.format == "json":
@@ -155,20 +151,13 @@ def cmd_parse(cfg: argparse.Namespace) -> int:
         return 0
     for t in trees:
         print(t.render())
-    note = f"{len(trees)} trees (truncated)" if truncated else f"{len(trees)} trees"
-    print(note)
+    print(f"{len(trees)} trees (truncated)" if truncated else f"{len(trees)} trees")
     return 0
 
 
-def cmd_count(cfg: argparse.Namespace) -> int:
-    elab, start = _load(cfg)
-    tokens = _tokens(cfg, _read_input(cfg))
-    accepted, state = _run(cfg, start, tokens)
-    if not accepted:
-        _print_reject(cfg, state)
-        return 1
-    count = forest.count_derivations(start, tokens, state.bsrs, 0, len(tokens),
-                                     _filters(elab))
+def print_count(cfg: argparse.Namespace, run: Run) -> int:
+    count = count_derivations(run.start, run.tokens, run.state.bsrs, 0,
+                              len(run.tokens), _filters(run.elab))
     if cfg.format == "json":
         print(json.dumps({"result": "accept", "count": count.value,
                           "saturated": count.saturated}))
@@ -177,52 +166,25 @@ def cmd_count(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stats(cfg: argparse.Namespace) -> int:
-    _elab, start = _load(cfg)
-    tokens = _tokens(cfg, _read_input(cfg))
-    t0 = time.perf_counter()
-    accepted, state = _run(cfg, start, tokens)
-    elapsed = time.perf_counter() - t0
-    metrics = {
-        "result": "accept" if accepted else "reject",
-        "descriptors_processed": state.stats.descriptors_processed,
-        "uset": len(state.uset),
-        "bsrs": len(state.bsrs),
-        "prel": len(state.prel),
-    }
+def print_stats(cfg: argparse.Namespace, run: Run) -> int:
+    state = run.state
+    metrics = {"result": "accept" if run.accepted else "reject",
+               "descriptors_processed": state.stats.descriptors_processed,
+               "uset": len(state.uset), "bsrs": len(state.bsrs), "prel": len(state.prel)}
     if cfg.format == "json":
         if not cfg.deterministic:
-            metrics["wall_time_s"] = elapsed
+            metrics["wall_time_s"] = run.elapsed
         print(json.dumps(metrics))
     else:
-        print(f"result: {metrics['result']}")
-        print(f"descriptors processed: {metrics['descriptors_processed']}")
-        print(f"uset: {metrics['uset']}")
-        print(f"bsrs: {metrics['bsrs']}")
-        print(f"prel: {metrics['prel']}")
+        for name, value in metrics.items():
+            print(f"{name.replace('_', ' ')}: {value}")
         if not cfg.deterministic:
-            print(f"wall time: {elapsed:.6f}s", file=sys.stderr)
-    return 0 if accepted else 1
+            print(f"wall time: {run.elapsed:.6f}s", file=sys.stderr)
+    return 0 if run.accepted else 1
 
 
-def cmd_bench(cfg: argparse.Namespace) -> int:
-    _elab, start = _load(cfg)
-    rows = []
-    for size in cfg.sizes:
-        tokens = ([cfg.bench_char] * size if cfg.mode == "words"
-                  else cfg.bench_char * size)
-        t0 = time.perf_counter()
-        accepted, _state = _run(cfg, start, tokens)
-        elapsed = time.perf_counter() - t0
-        rows.append((size, accepted, elapsed))
-        print(f"size {size}: {'accept' if accepted else 'reject'}")
-        if not cfg.deterministic:
-            print(f"size {size}: {elapsed:.6f}s", file=sys.stderr)
-    if cfg.format == "json":
-        print(json.dumps([{"size": s, "result": "accept" if a else "reject",
-                           **({} if cfg.deterministic else {"wall_time_s": e})}
-                          for s, a, e in rows]))
-    return 0
+PRINTERS = {"recognize": print_recognize, "bsr": print_bsr, "parse": print_trees,
+            "count": print_count, "stats": print_stats}
 
 
 def natural(text: str) -> int:
@@ -244,9 +206,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     shared.add_argument("--fuel", type=natural, default=DEFAULT_FUEL,
                         help="descriptor budget, 0 = unlimited")
     shared.add_argument("--format", choices=("text", "json"), default="text")
-    timing = argparse.ArgumentParser(add_help=False)
-    timing.add_argument("--deterministic", action="store_true",
-                        help="suppress timing output")
     source = argparse.ArgumentParser(add_help=False)
     src = source.add_mutually_exclusive_group()
     src.add_argument("--text", help="input given directly on the command line")
@@ -266,31 +225,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parse = sub.add_parser("parse", parents=[shared, source, errors])
     parse.add_argument("--max-trees", type=natural, default=10)
     sub.add_parser("count", parents=[shared, source, errors])
-    sub.add_parser("stats", parents=[shared, source, timing])
-    bench = sub.add_parser("bench", parents=[shared, timing])
-    bench.add_argument("--sizes", type=natural, nargs="+", required=True)
-    bench.add_argument("--bench-char", default="a",
-                       help="character (a word in words mode) replicated "
-                            "size times to build each input")
+    stats = sub.add_parser("stats", parents=[shared, source])
+    stats.add_argument("--deterministic", action="store_true",
+                       help="suppress timing output")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     ns = build_arg_parser().parse_args(argv)
     try:
-        if ns.command == "recognize":
-            return cmd_recognize(ns)
-        if ns.command == "bsr":
-            return cmd_bsr(ns)
-        if ns.command == "parse":
-            return cmd_parse(ns)
-        if ns.command == "count":
-            return cmd_count(ns)
-        if ns.command == "stats":
-            return cmd_stats(ns)
-        if ns.command == "bench":
-            return cmd_bench(ns)
-        raise CliError(f"unknown command {ns.command!r}")
+        run = _recognize(ns)
+        if not run.accepted and ns.command in ("parse", "count"):
+            return _print_reject(ns, run.state)
+        return PRINTERS[ns.command](ns, run)
     except (CliError, ResourceExhausted) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

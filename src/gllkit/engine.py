@@ -107,16 +107,16 @@ class Nonterminal(Symbol):
         return self._plans
 
     def _set_plans(self, plans: Iterable[AltPlan]) -> None:
-        """Keep the plans, where a duplicate alternate (the symbol ids of an
-        earlier one) takes the earlier one's slot chain, so that it starts
-        once, and note whether one of them is left-recursive."""
-        self._plans = plans = tuple(plans)
-        chains: dict = {}
+        """Keep the first of the alternates with equal symbol ids, action and
+        action kind, since a tree does not record its alternate, and note
+        whether one of them is left-recursive."""
+        kept: dict = {}
         for plan in plans:
-            key = tuple([s.id for s in plan.symbols])
-            plan.slots = chains.setdefault(key, plan.slots)
-            if key and key[0] is self.id:
+            ids = tuple([s.id for s in plan.symbols])
+            kept.setdefault((ids, plan.action, plan.action_kind), plan)
+            if ids and ids[0] is self.id:
                 self.left_recursive = True
+        self._plans = tuple(kept.values())
 
 
 def token_symbol(pattern: TokenPattern) -> Token:
@@ -168,8 +168,9 @@ def lazy_nonterminal(sid: SymbolId, thunk: Callable[[], Iterable[AltPlan]]) -> N
 # Every descriptor is queued once. One after slot 0 is made together with a
 # BSR element of the same (slot, l, r), so it is new exactly when that forest
 # key is new. Slot-0 descriptors are queued only when descend starts a new
-# commencement: an empty alternate's is gated on its own forest key, a
-# non-empty one's on state.starts (duplicate alternates share a slot chain).
+# commencement, once per alternate, since equal alternates are one plan: an
+# empty alternate's start is its forest key, a non-empty one's is recorded in
+# state.starts.
 
 
 def _alternates(state: ParseState, sym: Nonterminal, l: int) -> None:
@@ -191,15 +192,10 @@ def _alternates(state: ParseState, sym: Nonterminal, l: int) -> None:
         plans = tuple(reversed(plans))
     starts = state.starts
     for plan in plans:
-        slot = plan.slots[0]
         if plan.symbols:
-            if (slot, l) in starts:
-                continue
-            starts.add((slot, l))
-        elif bsrs.has_key(slot, l, l):  # a duplicate empty alternate
-            continue
+            starts.add((plan.slots[0], l))
         else:
-            bsrs.record(slot, l, l)
+            bsrs.record(plan.slots[0], l, l)
         state.queue.append((plan, 0, l, l))
 
 

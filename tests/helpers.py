@@ -197,8 +197,9 @@ def chart_extents(start: Symbol, text: str) -> dict:
 
 def brute_count(ast: GrammarAst, start: str, text: str) -> int:
     """Independent derivation counter: direct recursion over the AST with the
-    same same-extent curtailment rule the semantic phase uses. Handles only
-    non-parameterized definitions."""
+    same same-extent curtailment rule the semantic phase uses. Equal
+    alternates of a definition count once, as the engine keeps one plan of
+    them. Handles only non-parameterized definitions."""
     defs = {d.name: d for d in ast.definitions}
     token_decls = {t.name: t.pattern.classifier() for t in ast.tokens}
     memo: dict = {}
@@ -217,7 +218,7 @@ def brute_count(ast: GrammarAst, start: str, text: str) -> int:
         if key in memo:
             return memo[key]
         total = 0
-        for alt in defs[name].alternates:
+        for alt in dict.fromkeys(defs[name].alternates):
             total += seq_count(alt, 0, l, r, (l, r), visited | {name})
         memo[key] = total
         return total

@@ -1,12 +1,14 @@
 """Command-line behavior: outputs, exit codes, JSON shapes, determinism."""
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from gllkit.cli import main
+from gllkit.naive import NaiveInterpreter
 
 from helpers import GRAMMARS
 
@@ -66,6 +68,23 @@ class TestRecognize:
         code, out, _ = run_cli(capsys, "recognize", "--grammar", g("tuples.g"),
                                "--start", "AlphaTuples", "--text", "(a,b)",
                                "--oracle")
+        assert code == 0 and out == "accept\n"
+
+    def test_oracle_checks_a_reject(self, capsys, monkeypatch):
+        """The oracle cross-checks a rejected input before the reject is
+        printed: a disagreeing oracle is an error, and nothing is printed."""
+        monkeypatch.setattr(NaiveInterpreter, "accepts", lambda *_: True)
+        code, out, err = run_cli(capsys, "recognize", "--grammar", g("tuples.g"),
+                                 "--start", "AlphaTuples", "--text", "(a,b",
+                                 "--oracle")
+        assert (code, out) == (2, "")
+        assert err == "error: oracle mismatch: engine=False oracle=True\n"
+
+    def test_words_mode(self, capsys):
+        """In words mode the input is its blank-separated words."""
+        code, out, _ = run_cli(capsys, "recognize", "--grammar", g("s1.g"),
+                               "--start", "S1", "--mode", "words",
+                               "--text", "a a a")
         assert code == 0 and out == "accept\n"
 
     def test_json_format(self, capsys):
@@ -262,6 +281,28 @@ class TestParse:
         assert doc["trees"][0]["name"] == "Expr"
 
 
+@pytest.mark.parametrize("command", ["parse", "count"])
+def test_reject_prints_error_reports(capsys, command):
+    """parse and count print a reject's error reports as recognize does,
+    and exit 1."""
+    args = ("--grammar", g("csv.g"), "--start", "CSV(alpha)", "--text", "a,!",
+            "--format", "json")
+    code, out, _ = run_cli(capsys, command, *args)
+    assert code == 1
+    assert json.loads(out) == {"result": "reject", "errors": [
+        {"position": 2, "expected": ["CSV(%alpha) ::= . %alpha"], "got": "!"}]}
+    assert (code, out) == run_cli(capsys, "recognize", *args)[:2]
+
+
+@pytest.mark.parametrize("command, out", [
+    ("parse", "(D 0 2 'a'@0 (D 1 2 'a'@1 (D 2 2)))\n1 trees\n"), ("count", "1\n")])
+def test_equal_alternates_count_once(capsys, command, out):
+    """dup.g's two copies of 'a' D, and its two empty alternates, are one
+    alternate each: aa has one tree."""
+    assert run_cli(capsys, command, "--grammar", g("dup.g"), "--start", "D",
+                   "--text", "aa") == (0, out, "")
+
+
 class TestCount:
     @pytest.mark.parametrize("text,expected", [("a", "1"), ("a+a+a+a", "5")])
     def test_counts(self, capsys, text, expected):
@@ -328,37 +369,6 @@ class TestStats:
         assert code == 1 and "result: reject" in out
 
 
-class TestBench:
-    def test_rows_and_streams(self, capsys):
-        code, out, err = run_cli(capsys, "bench", "--grammar", g("e.g"),
-                                 "--start", "E", "--sizes", "0", "5", "10")
-        assert code == 0
-        assert out.splitlines() == ["size 0: accept", "size 5: accept",
-                                    "size 10: accept"]
-        assert err.count("s") >= 3
-
-    def test_deterministic_suppresses_timing(self, capsys):
-        _, out, err = run_cli(capsys, "bench", "--grammar", g("e.g"),
-                              "--start", "E", "--sizes", "3",
-                              "--deterministic")
-        assert err == ""
-        assert out == "size 3: accept\n"
-
-    def test_words_mode_builds_size_tokens(self, capsys):
-        """In words mode an input of size n is n words, as `recognize --mode
-        words --text "a a a"` reads it, not one word of n characters."""
-        code, out, _ = run_cli(capsys, "bench", "--grammar", g("s1.g"),
-                               "--start", "S1", "--mode", "words",
-                               "--sizes", "0", "3", "5", "--deterministic")
-        assert code == 0
-        assert out.splitlines() == ["size 0: accept", "size 3: accept",
-                                    "size 5: accept"]
-        code, out, _ = run_cli(capsys, "recognize", "--grammar", g("s1.g"),
-                               "--start", "S1", "--mode", "words",
-                               "--text", "a a a")
-        assert code == 0 and out == "accept\n"
-
-
 def usage_error(capsys, *args):
     """The exit code and the last stderr line of a command argparse rejects."""
     with pytest.raises(SystemExit) as stop:
@@ -388,16 +398,9 @@ class TestNegativeCounts:
         assert code == 2
         assert err.endswith("argument --max-trees: must not be negative: -1")
 
-    def test_negative_size(self, capsys):
-        code, err = usage_error(capsys, "bench", "--grammar", g("e.g"),
-                                "--start", "E", "--sizes", "1", "-2")
-        assert code == 2 and err.endswith("argument --sizes: must not be negative: -2")
-
 
 # Each command with an option it does not read, and that option's value.
 UNREAD_OPTIONS = [
-    ("bench", "--text", "abc"), ("bench", "--input", "x.txt"), ("bench", "--stdin"),
-    ("bench", "--errors", "2"), ("bench", "--max-trees", "2"), ("bench", "--oracle"),
     ("recognize", "--max-trees", "2"),
     ("bsr", "--max-trees", "2"), ("bsr", "--errors", "2"), ("bsr", "--oracle"),
     ("parse", "--oracle"),
@@ -415,9 +418,8 @@ class TestOptionsPerCommand:
     @pytest.mark.parametrize("command,option", [(u[0], u[1:]) for u in UNREAD_OPTIONS],
                              ids=[f"{u[0]}{u[1]}" for u in UNREAD_OPTIONS])
     def test_unread_option_is_a_usage_error(self, capsys, command, option):
-        source = ("--sizes", "3") if command == "bench" else ("--text", "a")
         code, err = usage_error(capsys, command, "--grammar", g("e.g"),
-                                "--start", "E", *source, *option)
+                                "--start", "E", "--text", "a", *option)
         assert code == 2
         assert err.endswith("unrecognized arguments: " + " ".join(option))
 
@@ -440,3 +442,20 @@ class TestInternalFailure:
         assert done.stdout == ""
         assert done.stderr.startswith("error: RecursionError")
         assert done.stderr.count("\n") == 1
+
+
+def readme_commands():
+    """The lines of README's "Command line" example block, as argv lists."""
+    readme = (GRAMMARS.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [shlex.split(line) for line in block.strip().splitlines()]
+    assert all(line[0] == "gllkit" for line in lines)
+    return [line[1:] for line in lines]
+
+
+@pytest.mark.parametrize("args", readme_commands(), ids=lambda args: args[0])
+def test_readme_example_runs(capsys, monkeypatch, args):
+    """Each README example exits 0, so the docs name only the commands and
+    options that exist."""
+    monkeypatch.chdir(GRAMMARS.parent)
+    assert run_cli(capsys, *args)[0] == 0

@@ -112,11 +112,16 @@ class TestSlots:
         if keys(a) != keys(b):
             assert render_slot(a) != render_slot(b)
 
-    def test_duplicate_alternates_share_slots(self):
-        """Duplicate alternates of one nonterminal share one slot chain."""
+    def test_equal_alternates_are_one_plan(self):
+        """Of alternates with equal symbol ids, action and action kind, the
+        first is kept; ones that differ only in their action stay apart,
+        each with its own slots."""
         a = symbol(A)
-        first, second, empty = nonterminal_symbol(
-            "E", (), [((a,),), ((a,),), ((),)]).plans()
-        assert second.slots is first.slots
-        assert empty.slots is not first.slots
+        first, empty = nonterminal_symbol(
+            "E", (), [((a,),), ((a,),), ((),), ((),)]).plans()
+        assert [p.symbols for p in (first, empty)] == [(a,), ()]
         assert first.slots[1].plan is first and first.slots[1].i == 1
+        plain, valued = nonterminal_symbol(
+            "E", (), [((a,),), ((a,), len), ((a,), len)]).plans()
+        assert (plain.action, valued.action) == (None, len)
+        assert valued.slots[1].plan is valued and plain.slots[1].plan is plain

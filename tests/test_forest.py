@@ -232,13 +232,6 @@ def as_evaluated(tree):
                     tuple(as_evaluated(c) for c in tree.children))
 
 
-def has_duplicate_alternates(sym) -> bool:
-    """Two alternates of one reachable nonterminal have the same symbols, so
-    their trees are equal: a tree does not record its alternate."""
-    return any(len({tuple(s.id for s in p.symbols) for p in nt.plans()}) < len(nt.plans())
-               for nt in reachable_nonterminals(sym).values())
-
-
 def check_forest(sym, text, schedule):
     """The count of one run agrees with its trees and with its evaluation
     without actions; returns the count."""
@@ -250,7 +243,7 @@ def check_forest(sym, text, schedule):
         return count
     trees = extract_trees(sym, text, state.bsrs)
     assert len(trees) == count.value
-    assert has_duplicate_alternates(sym) or len(set(trees)) == len(trees)
+    assert len(set(trees)) == len(trees)
     assert all(leaf_text(t) == text for t in trees)
     for k in (0, 1, len(trees) // 2 + 1):
         assert extract_trees(sym, text, state.bsrs, limit=k) == trees[:k]
